@@ -20,6 +20,7 @@
 #include "nfv/core/joint_optimizer.h"
 #include "nfv/placement/algorithm.h"
 #include "nfv/scheduling/algorithm.h"
+#include "nfv/scheduling/migration.h"
 #include "nfv/workload/generator.h"
 
 namespace {
@@ -153,6 +154,31 @@ int main(int argc, char** argv) {
     table.add_row({t == 1 ? std::string("joint_serial")
                           : std::string("joint_par"),
                    static_cast<long long>(t), static_cast<long long>(reps), us,
+                   static_cast<long long>(work)});
+  }
+
+  // Bounded-migration planning at serve size: one VNF's 240 live members
+  // on 36 instances, all piled onto a third of them, walked toward RCKK's
+  // partition.  The budget is unbounded, so `work` (the planned moves)
+  // counts every mismatched request and pins the part-to-instance
+  // matching, not just the budget.
+  {
+    const auto problem = scheduling_instance(240, 36, base_seed);
+    nfv::Rng rng(base_seed + 1);
+    std::vector<std::uint32_t> current(problem.request_count());
+    for (auto& k : current) {
+      k = static_cast<std::uint32_t>(rng.uniform_int(0, 11));
+    }
+    const auto target = nfv::sched::RckkScheduling{}.schedule(problem, rng);
+    const auto budget = static_cast<std::uint32_t>(problem.request_count());
+    std::uint64_t work = 0;
+    const double us = wall_us(reps, [&] {
+      work = nfv::sched::plan_bounded_migration(problem, current, target,
+                                                budget)
+                 .moves.size();
+    });
+    table.add_row({std::string("migration_plan"), 1LL,
+                   static_cast<long long>(reps), us,
                    static_cast<long long>(work)});
   }
 

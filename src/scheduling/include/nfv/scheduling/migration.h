@@ -9,6 +9,13 @@
 // only the heaviest mismatched requests, largest effective rate first,
 // until the budget is spent.  Everything is deterministic: ties break on
 // the lower index.
+//
+// The matching is greedy over the at most n non-zero (part, instance)
+// overlap cells, taken in (overlap desc, part asc, instance asc) order;
+// parts left without an overlapping free instance pair with the leftover
+// instances in ascending order.  That is the pair sequence of a greedy
+// scan over the full m×m overlap matrix, in O(n log n + m) time
+// (DESIGN.md §11.3).
 #pragma once
 
 #include <cstdint>

@@ -16,15 +16,7 @@ Schedule KkForwardScheduling::schedule(const SchedulingProblem& problem,
     out.work = problem.request_count();
     return out;
   }
-  detail::PartitionHeap heap(detail::initial_partitions(problem));
-  while (heap.size() > 1) {
-    detail::Partition a = heap.pop();
-    detail::Partition b = heap.pop();
-    heap.push(detail::combine_forward(a, b));
-    ++out.work;
-  }
-  out.instance_of = detail::to_assignment(heap.top(),
-                                          problem.request_count());
+  out = detail::flat_kk(problem, detail::ForwardPairing{});
   out.validate(problem);
   return out;
 }

@@ -1,10 +1,14 @@
 // Internal machinery shared by the Karmarkar-Karp family (RCKK, forward KK,
 // CKK): partitions carrying per-position request sets, kept sorted by
-// leading value.
+// leading value, and the flat single-pass kernel RCKK and forward KK run
+// on.  CKK's DFS copies its partition list at every branch, so it keeps
+// the Partition form, which also stays the flat kernel's executable
+// specification.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -102,8 +106,8 @@ template <typename Perm>
 /// Inserts into a descending-by-head list, keeping it sorted (line 6).
 ///
 /// Reference implementation of the Partition_list: O(n) per insert from
-/// the vector shift.  The algorithms use PartitionHeap below (O(log n)
-/// per operation, identical pop order); this stays as the executable
+/// the vector shift.  CKK uses PartitionHeap below (O(log n) per
+/// operation, identical pop order); this stays as the executable
 /// specification the heap is unit-tested against.
 inline void insert_sorted(std::vector<Partition>& list, Partition p) {
   const auto pos = std::upper_bound(
@@ -192,5 +196,125 @@ class PartitionHeap {
   }
   return instance_of;
 }
+
+/// Flat single-pass KK differencing (RCKK with the reverse pairing,
+/// forward KK with the identity): the same pops, combines and final sets
+/// as driving PartitionHeap with combine(), without per-combine
+/// allocation.
+///
+///  * Partition p owns row p of one n×m slab of cells (position value plus
+///    the head/tail of its request set); a combine writes into the row of
+///    the first popped partition, and the second row is dead from then on.
+///  * Request sets are splice lists over one next[n] array, so merging two
+///    sets is O(1) and a combine is O(m) splices plus a stable insertion
+///    sort of the m positions (the unique order std::stable_sort yields).
+///  * The heap holds (head, insertion seq, row) and pops on PartitionHeap's
+///    key: head desc, then seq asc.
+///
+/// Values are summed, sorted and normalized with exactly combine()'s
+/// floating-point operations, so `instance_of` is bit-identical to the
+/// reference path (tests/scheduling/kk_flat_test.cc).  `work` is the
+/// number of combines, n − 1.
+template <typename Perm>
+[[nodiscard]] Schedule flat_kk(const SchedulingProblem& problem, Perm perm) {
+  constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+  struct Cell {
+    double value;
+    std::uint32_t head;  // first request of the position's set, or kNone
+    std::uint32_t tail;  // last request of the set (valid when head is)
+  };
+  struct Entry {
+    double head;
+    std::uint64_t seq;
+    std::uint32_t row;
+  };
+  // std:: heap order, as PartitionHeap::Before: largest head on top, the
+  // earlier insertion among equal heads.
+  const auto before = [](const Entry& a, const Entry& b) {
+    if (a.head != b.head) return a.head < b.head;
+    return a.seq > b.seq;
+  };
+
+  const std::size_t n = problem.request_count();
+  const std::size_t m = problem.instance_count;
+  // Line 1: requests by effective rate desc; index asc on ties is the
+  // order the reference's stable_sort gives, without its buffer.
+  std::vector<double> rate(n);
+  for (std::size_t r = 0; r < n; ++r) rate[r] = problem.effective_rate(r);
+  std::vector<std::uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return rate[a] != rate[b] ? rate[a] > rate[b] : a < b;
+  });
+  std::vector<Cell> slab(n * m, Cell{0.0, kNone, kNone});
+  std::vector<std::uint32_t> next(n, kNone);
+  std::vector<Entry> heap(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t r = order[i];
+    slab[i * m] = Cell{rate[r], r, r};
+    heap[i] = Entry{rate[r], static_cast<std::uint64_t>(i),
+                    static_cast<std::uint32_t>(i)};
+  }
+  std::make_heap(heap.begin(), heap.end(), before);
+  std::uint64_t seq = n;
+
+  Schedule out;
+  while (heap.size() > 1) {
+    std::pop_heap(heap.begin(), heap.end(), before);
+    const std::uint32_t ra = heap.back().row;
+    heap.pop_back();
+    std::pop_heap(heap.begin(), heap.end(), before);
+    const std::uint32_t rb = heap.back().row;
+    heap.pop_back();
+    Cell* a = &slab[static_cast<std::size_t>(ra) * m];
+    const Cell* b = &slab[static_cast<std::size_t>(rb) * m];
+    // Lines 3-4: a_i + b_perm(i), sets spliced a-then-b.
+    for (std::size_t i = 0; i < m; ++i) {
+      const Cell& bj = b[perm(i, m)];
+      a[i].value += bj.value;
+      if (bj.head == kNone) continue;
+      if (a[i].head == kNone) {
+        a[i].head = bj.head;
+      } else {
+        next[a[i].tail] = bj.head;
+      }
+      a[i].tail = bj.tail;
+    }
+    // Stable descending insertion sort: a cell moves only past strictly
+    // smaller values.
+    for (std::size_t i = 1; i < m; ++i) {
+      const Cell c = a[i];
+      std::size_t j = i;
+      for (; j > 0 && a[j - 1].value < c.value; --j) a[j] = a[j - 1];
+      a[j] = c;
+    }
+    // Line 5: normalize by the smallest position.
+    const double base = a[m - 1].value;
+    for (std::size_t i = 0; i < m; ++i) a[i].value -= base;
+    heap.push_back(Entry{a[0].value, seq++, ra});
+    std::push_heap(heap.begin(), heap.end(), before);
+    ++out.work;
+  }
+
+  // Lines 8-10.
+  out.instance_of.assign(n, 0);
+  const Cell* last = &slab[static_cast<std::size_t>(heap.front().row) * m];
+  for (std::size_t k = 0; k < m; ++k) {
+    for (std::uint32_t r = last[k].head; r != kNone; r = next[r]) {
+      out.instance_of[r] = static_cast<std::uint32_t>(k);
+    }
+  }
+  return out;
+}
+
+/// combine()'s pairings in flat_kk's (position, m) form.
+struct ReversePairing {
+  std::size_t operator()(std::size_t i, std::size_t m) const {
+    return m - 1 - i;
+  }
+};
+struct ForwardPairing {
+  std::size_t operator()(std::size_t i, std::size_t /*m*/) const { return i; }
+};
 
 }  // namespace nfv::sched::detail

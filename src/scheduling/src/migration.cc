@@ -31,39 +31,73 @@ MigrationPlan plan_bounded_migration(const SchedulingProblem& problem,
     NFV_REQUIRE(target.instance_of[r] < m);
   }
 
-  // Effective-load overlap between target part p and live instance k.
-  std::vector<double> overlap(static_cast<std::size_t>(m) * m, 0.0);
-  for (std::size_t r = 0; r < n; ++r) {
-    overlap[static_cast<std::size_t>(target.instance_of[r]) * m + current[r]] +=
-        problem.effective_rate(r);
+  std::vector<double> rate(n);
+  for (std::size_t r = 0; r < n; ++r) rate[r] = problem.effective_rate(r);
+
+  // Effective-load overlap between target part p and live instance k, for
+  // the at most n (part, instance) cells some request lands in.  Requests
+  // are bucketed by part (a stable counting sort), so each cell sums its
+  // requests in request order, as a dense m×m accumulation would.
+  std::vector<std::uint32_t> part_start(static_cast<std::size_t>(m) + 1, 0);
+  for (std::size_t r = 0; r < n; ++r) ++part_start[target.instance_of[r] + 1];
+  for (std::uint32_t p = 0; p < m; ++p) part_start[p + 1] += part_start[p];
+  std::vector<std::uint32_t> by_part(n);
+  {
+    std::vector<std::uint32_t> fill(part_start.begin(), part_start.end() - 1);
+    for (std::size_t r = 0; r < n; ++r) {
+      by_part[fill[target.instance_of[r]]++] = static_cast<std::uint32_t>(r);
+    }
+  }
+  struct Cell {
+    double overlap;
+    std::uint32_t part;
+    std::uint32_t instance;
+  };
+  std::vector<Cell> cells;
+  cells.reserve(n);
+  constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> cell_part(m, kNone);  // part of cell_index[k]
+  std::vector<std::uint32_t> cell_index(m, 0);
+  for (std::uint32_t p = 0; p < m; ++p) {
+    for (std::uint32_t i = part_start[p]; i < part_start[p + 1]; ++i) {
+      const std::uint32_t r = by_part[i];
+      const std::uint32_t k = current[r];
+      if (cell_part[k] != p) {
+        cell_part[k] = p;
+        cell_index[k] = static_cast<std::uint32_t>(cells.size());
+        cells.push_back(Cell{0.0, p, k});
+      }
+      cells[cell_index[k]].overlap += rate[r];
+    }
   }
 
   // Greedy maximum-overlap matching of parts to instances; ties break on
   // the lower part then the lower instance, so the result is deterministic.
+  // Each round takes the free (part, instance) pair first in (overlap desc,
+  // part asc, instance asc) order: the sorted cells while any free one
+  // overlaps, then the lowest free part with the lowest free instance,
+  // which the ascending sweep below pairs up.  O(n log n + m) in all.
+  std::sort(cells.begin(), cells.end(), [](const Cell& a, const Cell& b) {
+    if (a.overlap != b.overlap) return a.overlap > b.overlap;
+    if (a.part != b.part) return a.part < b.part;
+    return a.instance < b.instance;
+  });
   MigrationPlan plan;
-  std::vector<std::uint32_t> instance_of_part(m,
-                                              std::numeric_limits<std::uint32_t>::max());
-  std::vector<bool> part_taken(m, false);
+  std::vector<std::uint32_t> instance_of_part(m, kNone);
   std::vector<bool> instance_taken(m, false);
-  for (std::uint32_t round = 0; round < m; ++round) {
-    double best = -1.0;
-    std::uint32_t best_p = 0;
-    std::uint32_t best_k = 0;
-    for (std::uint32_t p = 0; p < m; ++p) {
-      if (part_taken[p]) continue;
-      for (std::uint32_t k = 0; k < m; ++k) {
-        if (instance_taken[k]) continue;
-        const double o = overlap[static_cast<std::size_t>(p) * m + k];
-        if (o > best) {
-          best = o;
-          best_p = p;
-          best_k = k;
-        }
-      }
+  for (const Cell& c : cells) {
+    if (instance_of_part[c.part] != kNone || instance_taken[c.instance]) {
+      continue;
     }
-    part_taken[best_p] = true;
-    instance_taken[best_k] = true;
-    instance_of_part[best_p] = best_k;
+    instance_of_part[c.part] = c.instance;
+    instance_taken[c.instance] = true;
+  }
+  std::uint32_t free_instance = 0;
+  for (std::uint32_t p = 0; p < m; ++p) {
+    if (instance_of_part[p] != kNone) continue;
+    while (instance_taken[free_instance]) ++free_instance;
+    instance_of_part[p] = free_instance;
+    instance_taken[free_instance] = true;
   }
   plan.part_of_instance.assign(m, 0);
   for (std::uint32_t p = 0; p < m; ++p) {
@@ -73,7 +107,7 @@ MigrationPlan plan_bounded_migration(const SchedulingProblem& problem,
   // Current effective loads, and the instance each request should end on.
   std::vector<double> load(m, 0.0);
   for (std::size_t r = 0; r < n; ++r) {
-    load[current[r]] += problem.effective_rate(r);
+    load[current[r]] += rate[r];
   }
   plan.imbalance_before = spread(load);
 
@@ -83,20 +117,19 @@ MigrationPlan plan_bounded_migration(const SchedulingProblem& problem,
       mismatched.push_back(r);
     }
   }
-  std::stable_sort(mismatched.begin(), mismatched.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return problem.effective_rate(a) >
-                            problem.effective_rate(b);
-                   });
+  // Heaviest first; the lower position on ties (a stable sort's order).
+  std::sort(mismatched.begin(), mismatched.end(),
+            [&](std::size_t a, std::size_t b) {
+              return rate[a] != rate[b] ? rate[a] > rate[b] : a < b;
+            });
 
   for (const std::size_t r : mismatched) {
     if (plan.moves.size() >= budget) break;
     const std::uint32_t from = current[r];
     const std::uint32_t to = instance_of_part[target.instance_of[r]];
-    const double rate = problem.effective_rate(r);
-    if (capacity_limit > 0.0 && load[to] + rate > capacity_limit) continue;
-    load[from] -= rate;
-    load[to] += rate;
+    if (capacity_limit > 0.0 && load[to] + rate[r] > capacity_limit) continue;
+    load[from] -= rate[r];
+    load[to] += rate[r];
     plan.moves.push_back({r, from, to});
   }
   plan.imbalance_after = spread(load);

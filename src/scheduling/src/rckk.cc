@@ -19,17 +19,9 @@ Schedule RckkScheduling::schedule(const SchedulingProblem& problem,
     obs::count("sched.rckk.combines", out.work);
     return out;
   }
-  detail::PartitionHeap heap(detail::initial_partitions(problem));
-  while (heap.size() > 1) {
-    // Lines 2-6: combine the two partitions with the largest leading
-    // values in reverse order, normalize, reinsert.
-    detail::Partition a = heap.pop();
-    detail::Partition b = heap.pop();
-    heap.push(detail::combine_reverse(a, b));
-    ++out.work;
-  }
-  out.instance_of = detail::to_assignment(heap.top(),
-                                          problem.request_count());
+  // Lines 2-6 — combine the two partitions with the largest leading values
+  // in reverse order, normalize, reinsert — on the flat kernel.
+  out = detail::flat_kk(problem, detail::ReversePairing{});
   out.validate(problem);
   obs::count("sched.rckk.runs");
   obs::count("sched.rckk.combines", out.work);

@@ -35,10 +35,12 @@
 //    sheds lowest-rate requests first.  Checkpoint/resume (checkpoint.h)
 //    snapshots the full state so a killed run continues bit-identically.
 //
-// The engine is strictly deterministic — no RNG, no wall clock, and the
-// only parallel site (predicted-latency evaluation) uses exec::parallel_map
-// with a serial index-order fold — so replaying a trace yields a
-// bit-identical state and report for any thread count.
+// The engine is strictly deterministic — no RNG, no wall clock — and its
+// whole decision path is serial: the per-event Eq. 16 rescan is one loop
+// over reused scratch, not a thread-pool fan-out.  Replaying a trace
+// therefore yields a bit-identical state and report for any thread count,
+// and `--threads` does not change serve wall time; the flag stays so the
+// thread-count byte-identity tests keep exercising it.
 #pragma once
 
 #include <cstdint>
@@ -46,6 +48,7 @@
 #include <set>
 #include <optional>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "nfv/common/histogram.h"
@@ -53,6 +56,7 @@
 #include "nfv/serve/autoscale.h"
 #include "nfv/obs/report.h"
 #include "nfv/obs/timeline.h"
+#include "nfv/scheduling/problem.h"
 #include "nfv/topology/topology.h"
 #include "nfv/workload/event_stream.h"
 #include "nfv/workload/vnf.h"
@@ -395,6 +399,10 @@ class ServeEngine {
   void drain_queue(EventOutcome& outcome,
                    std::vector<std::uint32_t>& touched_vnfs);
   void finish_outcome(EventOutcome& outcome);
+  /// predicted_latencies() into `out`, in one serial pass; `nodes` is
+  /// scratch for each request's distinct-node count.
+  void predicted_latencies(std::vector<double>& out,
+                           std::vector<std::uint32_t>& nodes) const;
   /// on_event minus the outcome copy-out: appends to log_ and returns
   /// nothing.  The shared body of on_event and apply_batch.
   void process_event(const workload::StreamEvent& event);
@@ -488,6 +496,16 @@ class ServeEngine {
   // per-event vector locals, and replay_binary's reusable decode batch.
   std::vector<std::uint32_t> touched_scratch_;
   std::vector<workload::StreamEvent> batch_;
+  // rebalance(): the VNF's non-draining instances, its members as
+  // (request id, instance position), and the RCKK problem and live
+  // assignment built from them.
+  std::vector<std::uint32_t> active_scratch_;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> members_scratch_;
+  sched::SchedulingProblem problem_scratch_;
+  std::vector<std::uint32_t> current_scratch_;
+  // finish_outcome(): the Eq. 16 rescan's latencies and per-request nodes.
+  std::vector<double> latency_scratch_;
+  std::vector<std::uint32_t> hop_nodes_scratch_;
 
   // Degradation window: last `overload_window` pressure bits, oldest first.
   std::vector<std::uint8_t> pressure_window_;

@@ -8,7 +8,6 @@
 
 #include "nfv/common/error.h"
 #include "nfv/common/rng.h"
-#include "nfv/exec/thread_pool.h"
 #include "nfv/obs/flight_recorder.h"
 #include "nfv/obs/metrics.h"
 #include "nfv/scheduling/algorithm.h"
@@ -38,6 +37,22 @@ void erase_sorted(std::vector<std::uint32_t>& v, std::uint32_t x) {
   const auto it = std::lower_bound(v.begin(), v.end(), x);
   NFV_CHECK(it != v.end() && *it == x);
   v.erase(it);
+}
+
+/// Mean and p99 of the predicted latencies: the mean summed in sample
+/// order, the p99 the ceil(0.99·n)-th smallest — std::nth_element puts
+/// there the value a full sort would.  Reorders `lat`; leaves both
+/// outputs untouched when it is empty.
+void latency_stats(std::vector<double>& lat, double& mean, double& p99) {
+  if (lat.empty()) return;
+  double sum = 0.0;
+  for (const double x : lat) sum += x;
+  mean = sum / static_cast<double>(lat.size());
+  const auto idx = static_cast<std::ptrdiff_t>(
+                       std::ceil(0.99 * static_cast<double>(lat.size()))) -
+                   1;
+  std::nth_element(lat.begin(), lat.begin() + idx, lat.end());
+  p99 = lat[static_cast<std::size_t>(idx)];
 }
 
 }  // namespace
@@ -276,10 +291,10 @@ std::uint32_t ServeEngine::rebalance(std::uint32_t vnf,
                                      EventOutcome& outcome) {
   // Draining instances are leaving the capacity set: the RCKK re-solve
   // runs over the survivors only, so a rebalance never refills a drain.
-  std::vector<std::uint32_t> non_draining;
   const std::vector<std::uint32_t>* act_ptr = &active_of_vnf_[vnf];
   if (autoscale_on()) {
-    non_draining.reserve(act_ptr->size());
+    std::vector<std::uint32_t>& non_draining = active_scratch_;
+    non_draining.clear();
     for (const std::uint32_t slot : *act_ptr) {
       if (!instances_[slot].draining) non_draining.push_back(slot);
     }
@@ -305,7 +320,9 @@ std::uint32_t ServeEngine::rebalance(std::uint32_t vnf,
   // Gather this VNF's live members in ascending request-id order so the
   // problem positions are deterministic, then re-solve with RCKK and walk
   // at most K moves toward its partition.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> members;  // id, pos
+  std::vector<std::pair<std::uint32_t, std::uint32_t>>& members =
+      members_scratch_;  // id, pos
+  members.clear();
   for (std::uint32_t pos = 0; pos < m; ++pos) {
     for (const std::uint32_t id : instances_[act[pos]].members) {
       members.emplace_back(id, pos);
@@ -313,13 +330,13 @@ std::uint32_t ServeEngine::rebalance(std::uint32_t vnf,
   }
   std::sort(members.begin(), members.end());
 
-  sched::SchedulingProblem problem;
+  sched::SchedulingProblem& problem = problem_scratch_;
   problem.service_rate = vnfs_[vnf].service_rate;
   problem.instance_count = m;
-  problem.arrival_rates.reserve(members.size());
-  problem.delivery_probs.reserve(members.size());
-  std::vector<std::uint32_t> current;
-  current.reserve(members.size());
+  problem.arrival_rates.clear();
+  problem.delivery_probs.clear();
+  std::vector<std::uint32_t>& current = current_scratch_;
+  current.clear();
   for (const auto& [id, pos] : members) {
     const LiveRequest& r = live_.at(id);
     problem.arrival_rates.push_back(r.rate);
@@ -1091,19 +1108,9 @@ bool ServeEngine::drain_member(std::uint32_t id, std::size_t hop,
 }
 
 void ServeEngine::finish_outcome(EventOutcome& outcome) {
-  const std::vector<double> lat = predicted_latencies();
-  if (!lat.empty()) {
-    double sum = 0.0;
-    for (const double x : lat) sum += x;
-    outcome.mean_predicted_latency = sum / static_cast<double>(lat.size());
-    std::vector<double> sorted = lat;
-    std::sort(sorted.begin(), sorted.end());
-    const std::size_t idx =
-        static_cast<std::size_t>(
-            std::ceil(0.99 * static_cast<double>(sorted.size()))) -
-        1;
-    outcome.p99_predicted_latency = sorted[idx];
-  }
+  predicted_latencies(latency_scratch_, hop_nodes_scratch_);
+  latency_stats(latency_scratch_, outcome.mean_predicted_latency,
+                outcome.p99_predicted_latency);
   ++totals_.events;
   obs::count("serve.events");
   switch (outcome.decision) {
@@ -1417,19 +1424,8 @@ ServeSummary ServeEngine::summary() const {
           ? static_cast<double>(s.admitted + s.admitted_from_queue) /
                 static_cast<double>(s.arrivals)
           : 1.0;
-  const std::vector<double> lat = predicted_latencies();
-  if (!lat.empty()) {
-    double sum = 0.0;
-    for (const double x : lat) sum += x;
-    s.mean_predicted_latency = sum / static_cast<double>(lat.size());
-    std::vector<double> sorted = lat;
-    std::sort(sorted.begin(), sorted.end());
-    const std::size_t idx =
-        static_cast<std::size_t>(
-            std::ceil(0.99 * static_cast<double>(sorted.size()))) -
-        1;
-    s.p99_predicted_latency = sorted[idx];
-  }
+  std::vector<double> lat = predicted_latencies();
+  latency_stats(lat, s.mean_predicted_latency, s.p99_predicted_latency);
   s.work = work_;
   if (autoscale_on()) {
     const AutoscaleTotals& at = scaler_->totals();
@@ -1469,16 +1465,19 @@ ServeEngine::Snapshot ServeEngine::snapshot() const {
 }
 
 std::vector<double> ServeEngine::predicted_latencies() const {
-  std::vector<const LiveRequest*> reqs;
-  reqs.reserve(live_.size());
-  for (const auto& [id, r] : live_) reqs.push_back(&r);
-  // The only parallel site: per-request Eq. 16 evaluation, collected into
-  // index order — bit-identical for any thread count.
-  return exec::parallel_map(reqs.size(), [&](std::size_t i) {
-    const LiveRequest& r = *reqs[i];
+  std::vector<double> out;
+  std::vector<std::uint32_t> nodes;
+  predicted_latencies(out, nodes);
+  return out;
+}
+
+void ServeEngine::predicted_latencies(std::vector<double>& out,
+                                      std::vector<std::uint32_t>& nodes) const {
+  out.clear();
+  out.reserve(live_.size());
+  for (const auto& [id, r] : live_) {
     double total = 0.0;
-    std::vector<std::uint32_t> nodes;
-    nodes.reserve(r.hop_instance.size());
+    nodes.clear();
     for (std::size_t h = 0; h < r.hop_instance.size(); ++h) {
       const Instance& inst = instances_[r.hop_instance[h]];
       const double mu = vnfs_[r.chain[h]].service_rate;
@@ -1494,12 +1493,13 @@ std::vector<double> ServeEngine::predicted_latencies() const {
       nodes.push_back(inst.node);
     }
     std::sort(nodes.begin(), nodes.end());
-    nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-    if (!nodes.empty()) {
-      total += static_cast<double>(nodes.size() - 1) * link_latency_;
+    const auto distinct = static_cast<std::size_t>(
+        std::unique(nodes.begin(), nodes.end()) - nodes.begin());
+    if (distinct > 0) {
+      total += static_cast<double>(distinct - 1) * link_latency_;
     }
-    return total;
-  });
+    out.push_back(total);
+  }
 }
 
 workload::Workload ServeEngine::live_workload() const {
