@@ -8,7 +8,6 @@
 #include <cstdlib>
 
 #include "nfv/common/table.h"
-#include "nfv/core/energy.h"
 #include "nfv/core/joint_optimizer.h"
 #include "nfv/topology/builders.h"
 #include "nfv/workload/generator.h"
@@ -45,8 +44,7 @@ int main(int argc, char** argv) {
       model.workload.vnfs.size(), model.workload.total_demand());
 
   nfv::Table table({"policy", "servers on", "avg utilization %",
-                    "watts", "saved W", "avg request latency",
-                    "rejection %"});
+                    "avg request latency", "rejection %"});
   table.set_precision(3);
   for (const auto* placer : {"BFDSU", "BFD", "FFD", "NAH", "WFD"}) {
     nfv::core::JointConfig cfg;
@@ -56,16 +54,13 @@ int main(int argc, char** argv) {
     if (!result.feasible) {
       table.add_row({std::string(placer), std::string("-"),
                      std::string("infeasible"), std::string("-"),
-                     std::string("-"), std::string("-"), std::string("-")});
+                     std::string("-")});
       continue;
     }
-    const nfv::core::EnergyReport energy =
-        nfv::core::evaluate_energy(model, result);
     table.add_row({std::string(placer),
                    static_cast<long long>(
                        result.placement_metrics.nodes_in_service),
                    100.0 * result.placement_metrics.avg_utilization_of_used,
-                   energy.total_watts, energy.savings_watts(),
                    result.avg_total_latency,
                    100.0 * result.job_rejection_rate});
   }

@@ -16,7 +16,6 @@
 #include "nfv/placement/metrics.h"
 #include "nfv/scheduling/algorithm.h"
 #include "nfv/scheduling/metrics.h"
-#include "nfv/shard/partition.h"
 #include "nfv/topology/topology.h"
 #include "nfv/workload/vnf.h"
 
@@ -48,10 +47,6 @@ struct JointConfig {
   /// Fan-out width for multi-start placement and per-VNF scheduling.
   /// Results are bit-identical for any thread count (see DESIGN.md §10).
   exec::ExecConfig exec;
-  /// Sharded solving (DESIGN.md §12).  Off by default; when enabled the
-  /// instance is partitioned canonically, so results are bit-identical
-  /// for any `--shards`/`--threads` combination.
-  shard::ShardConfig shard;
 };
 
 /// Scheduling context of one VNF: its m-way partitioning problem plus the
@@ -82,7 +77,6 @@ struct JointResult {
   std::vector<sched::Schedule> schedules;        ///< per VNF
   std::vector<sched::AdmissionResult> admissions;///< per VNF
   std::vector<RequestOutcome> requests;          ///< per request
-  shard::ShardStats shard_stats;                 ///< sharded-solve counters
 
   // Aggregates over admitted requests / all instances.
   double total_latency = 0.0;       ///< Eq. 16 objective
@@ -106,12 +100,6 @@ class JointOptimizer {
  private:
   [[nodiscard]] JointResult run_impl(const SystemModel& model,
                                      std::uint64_t seed) const;
-  /// Sharded variant of run_impl (DESIGN.md §12): per-shard placement and
-  /// scheduling, boundary merge, same Eq. 16 evaluation.  Single-shard
-  /// plans delegate to run_impl — sharding a connected instance is the
-  /// identity.
-  [[nodiscard]] JointResult run_sharded(const SystemModel& model,
-                                        std::uint64_t seed) const;
 
   JointConfig config_;
 };

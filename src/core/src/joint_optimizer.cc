@@ -7,8 +7,6 @@
 #include "nfv/exec/thread_pool.h"
 #include "nfv/obs/metrics.h"
 #include "nfv/obs/trace.h"
-#include "nfv/shard/merge.h"
-#include "nfv/shard/placement.h"
 
 namespace nfv::core {
 
@@ -107,9 +105,9 @@ ChainPositionIndex make_chain_position_index(
   return index;
 }
 
-/// Eq. 16 evaluation + aggregates, shared by the monolithic and sharded
-/// paths: admitted iff admitted at every chain VNF, response sums the
-/// post-admission W(f, k), link latency charges L per extra node.
+/// Eq. 16 evaluation + aggregates: admitted iff admitted at every chain
+/// VNF, response sums the post-admission W(f, k), link latency charges L
+/// per extra node.
 /// Requires placement/contexts/schedules/admissions filled in; sets
 /// requests, the aggregates, and feasible = true.
 void evaluate_objective(const SystemModel& model, const JointConfig& config,
@@ -207,7 +205,6 @@ JointOptimizer::JointOptimizer(JointConfig config)
   NFV_REQUIRE(config_.rho_max > 0.0 && config_.rho_max <= 1.0);
   if (config_.link_latency) NFV_REQUIRE(*config_.link_latency >= 0.0);
   config_.exec.validate();
-  config_.shard.validate();
 }
 
 JointResult JointOptimizer::run(const SystemModel& model,
@@ -219,11 +216,9 @@ JointResult JointOptimizer::run(const SystemModel& model,
       !exec::ThreadPool::on_worker_thread()) {
     exec::ThreadPool local(config_.exec.threads);
     const exec::ScopedPool scope(local);
-    return config_.shard.enabled() ? run_sharded(model, seed)
-                                   : run_impl(model, seed);
+    return run_impl(model, seed);
   }
-  return config_.shard.enabled() ? run_sharded(model, seed)
-                                 : run_impl(model, seed);
+  return run_impl(model, seed);
 }
 
 JointResult JointOptimizer::run_impl(const SystemModel& model,
@@ -285,179 +280,6 @@ JointResult JointOptimizer::run_impl(const SystemModel& model,
       result.schedules.push_back(std::move(s.schedule));
       result.admissions.push_back(std::move(s.admission));
     }
-  }
-  evaluate_objective(model, config_, result);
-  return result;
-}
-
-JointResult JointOptimizer::run_sharded(const SystemModel& model,
-                                        std::uint64_t seed) const {
-  model.validate();
-  const placement::PlacementProblem pp =
-      placement::make_problem(model.topology, model.workload);
-  const shard::ShardPlan plan = shard::make_shard_plan(
-      pp.vnf_count(), pp.chains, pp.demands,
-      config_.shard.split_fraction * pp.total_capacity());
-  // A connected instance is one shard: sharding is the identity, so take
-  // the monolithic path before emitting any shard telemetry.
-  if (plan.shard_count() <= 1) return run_impl(model, seed);
-
-  const obs::ScopedSpan run_span("core.joint.shard.run");
-  obs::count("core.joint.runs");
-  obs::count("core.joint.shard.runs");
-  obs::count("core.joint.shard.shards", plan.shard_count());
-  obs::count("core.joint.shard.splits", plan.splits);
-  const auto placer =
-      config_.placement_factory
-          ? config_.placement_factory()
-          : placement::make_placement_algorithm(config_.placement_algorithm);
-  NFV_REQUIRE(placer != nullptr);
-  const auto scheduler =
-      sched::make_scheduling_algorithm(config_.scheduling_algorithm);
-  NFV_REQUIRE(scheduler != nullptr);
-
-  JointResult result;
-  shard::ShardStats& stats = result.shard_stats;
-  stats.enabled = true;
-  Rng rng(seed);
-
-  // Phase 1: per-shard placement, merged and repaired.
-  {
-    const obs::ScopedSpan span("core.joint.shard.placement");
-    result.placement =
-        shard::place_with_plan(pp, plan, *placer, config_.shard, rng, stats);
-  }
-  if (!result.placement.feasible) {
-    // Boundary repair failed; the monolithic solve sees the whole
-    // instance at once.  Deterministic: the plan depends only on the
-    // model, so every width reaches the same fallback.
-    obs::count("core.joint.shard.fallbacks");
-    shard::ShardStats fallback_stats = stats;
-    fallback_stats.fallback_monolithic = true;
-    JointResult mono = run_impl(model, seed);
-    mono.shard_stats = fallback_stats;
-    return mono;
-  }
-  result.placement_metrics = placement::evaluate(pp, result.placement);
-
-  // Phase 2: each shard schedules the members its own requests contribute
-  // to its own VNFs; members owned by other shards (boundary members of a
-  // split component) are merged afterwards.
-  {
-    const obs::ScopedSpan span("core.joint.shard.scheduling");
-    result.contexts = make_scheduling_contexts(model.workload);
-    const std::size_t vnfs = result.contexts.size();
-    const std::size_t shards = plan.shard_count();
-
-    std::vector<std::uint32_t> owner_of_request(model.workload.requests.size());
-    for (std::size_t r = 0; r < model.workload.requests.size(); ++r) {
-      owner_of_request[r] =
-          plan.shard_of_vnf[model.workload.requests[r].chain.front().index()];
-    }
-    // Per-VNF member positions split into locally-owned vs boundary.
-    // Walk the member lists (request-id order) once — O(Σ|R_f|).
-    std::vector<std::vector<std::uint32_t>> local_pos(vnfs);
-    std::vector<std::vector<std::uint32_t>> boundary_pos(vnfs);
-    for (std::size_t f = 0; f < vnfs; ++f) {
-      const std::uint32_t s = plan.shard_of_vnf[f];
-      const auto& members = result.contexts[f].members;
-      const auto member_count = static_cast<std::uint32_t>(members.size());
-      for (std::uint32_t p = 0; p < member_count; ++p) {
-        if (owner_of_request[members[p].index()] == s) {
-          local_pos[f].push_back(p);
-        } else {
-          boundary_pos[f].push_back(p);
-        }
-      }
-    }
-
-    // Fork per-shard streams up-front in index order, then fan out in
-    // waves of the configured width — positional, so bit-identical for
-    // any width/thread count.
-    std::vector<Rng> children;
-    children.reserve(shards);
-    for (std::size_t s = 0; s < shards; ++s) children.push_back(rng.fork(s));
-    std::vector<std::vector<sched::Schedule>> per_shard(shards);
-    const std::size_t width =
-        std::max<std::uint32_t>(1, config_.shard.fanout());
-    std::size_t launched = 0;
-    while (launched < shards) {
-      const std::size_t wave = std::min(width, shards - launched);
-      std::vector<std::vector<sched::Schedule>> got =
-          exec::parallel_map(wave, [&, launched](std::size_t i) {
-            const std::size_t s = launched + i;
-            std::vector<sched::Schedule> out;
-            out.reserve(plan.vnfs_of_shard[s].size());
-            for (const std::uint32_t f : plan.vnfs_of_shard[s]) {
-              const auto& ctx = result.contexts[f];
-              sched::SchedulingProblem sub;
-              sub.instance_count = ctx.problem.instance_count;
-              sub.service_rate = ctx.problem.service_rate;
-              sub.delivery_prob = ctx.problem.delivery_prob;
-              sub.arrival_rates.reserve(local_pos[f].size());
-              for (const std::uint32_t p : local_pos[f]) {
-                sub.arrival_rates.push_back(ctx.problem.arrival_rates[p]);
-              }
-              sched::Schedule sc;  // all-boundary VNF: nothing local
-              if (!sub.arrival_rates.empty()) {
-                sc = scheduler->schedule(sub, children[s]);
-              }
-              out.push_back(std::move(sc));
-            }
-            return out;
-          });
-      for (std::size_t i = 0; i < wave; ++i) {
-        per_shard[launched + i] = std::move(got[i]);
-      }
-      launched += wave;
-    }
-
-    // Merge in VNF index order: scatter the local assignments, append
-    // boundary members greedily, rebalance toward a full re-solve when
-    // the merged imbalance is out of band.
-    std::vector<std::uint32_t> slot_in_shard(vnfs, 0);
-    for (std::size_t s = 0; s < shards; ++s) {
-      for (std::size_t j = 0; j < plan.vnfs_of_shard[s].size(); ++j) {
-        slot_in_shard[plan.vnfs_of_shard[s][j]] =
-            static_cast<std::uint32_t>(j);
-      }
-    }
-    result.schedules.resize(vnfs);
-    for (std::size_t f = 0; f < vnfs; ++f) {
-      const auto& ctx = result.contexts[f];
-      sched::Schedule& merged = result.schedules[f];
-      const sched::Schedule& local =
-          per_shard[plan.shard_of_vnf[f]][slot_in_shard[f]];
-      merged.work = local.work;
-      merged.instance_of.assign(ctx.problem.request_count(),
-                                shard::kUnassigned);
-      for (std::size_t i = 0; i < local_pos[f].size(); ++i) {
-        merged.instance_of[local_pos[f][i]] = local.instance_of[i];
-      }
-      if (boundary_pos[f].empty()) continue;
-      stats.boundary_requests += boundary_pos[f].size();
-      shard::complete_schedule(ctx.problem, merged.instance_of,
-                               boundary_pos[f]);
-      merged.work += boundary_pos[f].size();
-      const sched::Schedule target = scheduler->schedule(ctx.problem, rng);
-      merged.work += target.work;
-      const shard::RebalanceOutcome outcome = shard::rebalance_toward(
-          ctx.problem, merged.instance_of, target,
-          config_.shard.rebalance_threshold, config_.shard.migration_budget);
-      if (outcome.triggered) {
-        ++stats.rebalances;
-        stats.migrations += outcome.migrations;
-      }
-    }
-    obs::count("core.joint.shard.boundary_requests", stats.boundary_requests);
-    obs::count("core.joint.shard.repair_moves", stats.repair_moves);
-    obs::count("core.joint.shard.migrations", stats.migrations);
-
-    result.admissions =
-        exec::parallel_map(vnfs, [&](std::size_t f) {
-          return sched::apply_admission(result.contexts[f].problem,
-                                        result.schedules[f], config_.rho_max);
-        });
   }
   evaluate_objective(model, config_, result);
   return result;

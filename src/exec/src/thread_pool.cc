@@ -66,12 +66,11 @@ void ThreadPool::ParallelRegion::capture_exception(std::exception_ptr e) {
 }
 
 void ThreadPool::ParallelRegion::finish_chunk() {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    --remaining_;
-    if (remaining_ > 0) return;
-  }
-  done_.notify_all();
+  // Notify under the lock: once the waiter sees remaining_ == 0 it returns
+  // and destroys the stack-allocated region, so done_ must not be touched
+  // after mu_ is released.
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (--remaining_ == 0) done_.notify_all();
 }
 
 void ThreadPool::ParallelRegion::wait_and_rethrow() {

@@ -26,9 +26,6 @@
 //                    avg_utilization, mean_latency, total_downtime},
 //     "resilience": {events: [...], final_availability, worst_availability,
 //                    total_shed, resolutions: {rung: count}},
-//     "shard":      {shards, components, splits, fallback_monolithic,
-//                    repair_moves, drain_moves, drained_nodes,
-//                    boundary_requests, rebalances, migrations},
 //     "metrics":    {counters: {...}, gauges: {...}, histograms: {...}}
 //   }
 //
@@ -212,21 +209,6 @@ struct ServeSection {
   std::vector<ServeEventEntry> events_log;
 };
 
-/// Counters of one sharded solve (src/shard, DESIGN.md §12).
-struct ShardSection {
-  bool present = false;
-  std::uint64_t shards = 0;
-  std::uint64_t components = 0;
-  std::uint64_t splits = 0;
-  bool fallback_monolithic = false;
-  std::uint64_t repair_moves = 0;
-  std::uint64_t drain_moves = 0;
-  std::uint64_t drained_nodes = 0;
-  std::uint64_t boundary_requests = 0;
-  std::uint64_t rebalances = 0;
-  std::uint64_t migrations = 0;
-};
-
 /// One backend's line in a solver portfolio race (DESIGN.md §17).
 struct SolverBackendEntry {
   std::string id;  ///< "bfdsu" | "lp" | "pso"
@@ -256,7 +238,6 @@ struct RunReport {
   DesSection des;
   ResilienceSection resilience;
   ServeSection serve;
-  ShardSection shard;
   SolverSection solver;
   MetricsSection metrics;
 };

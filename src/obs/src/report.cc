@@ -267,23 +267,6 @@ void write_run_report(const RunReport& report, std::ostream& os) {
     w.end_object();
   }
 
-  if (report.shard.present) {
-    const ShardSection& s = report.shard;
-    w.key("shard");
-    w.begin_object();
-    w.kv("shards", s.shards);
-    w.kv("components", s.components);
-    w.kv("splits", s.splits);
-    w.kv("fallback_monolithic", s.fallback_monolithic);
-    w.kv("repair_moves", s.repair_moves);
-    w.kv("drain_moves", s.drain_moves);
-    w.kv("drained_nodes", s.drained_nodes);
-    w.kv("boundary_requests", s.boundary_requests);
-    w.kv("rebalances", s.rebalances);
-    w.kv("migrations", s.migrations);
-    w.end_object();
-  }
-
   if (report.solver.present) {
     const SolverSection& s = report.solver;
     w.key("solver");
@@ -514,32 +497,6 @@ std::string pretty_print_report(const JsonValue& report) {
        << format_number(s->number_or("mean_predicted_latency")) << " s, p99 "
        << format_number(s->number_or("p99_predicted_latency"))
        << " s (Eq. 16)\n";
-  }
-
-  if (const JsonValue* s = report.find("shard")) {
-    // Rendered like serve: an unknown-to-the-printer section must never be
-    // silently dropped from the summary.
-    os << "\nsharded solve (" << format_number(s->number_or("shards"))
-       << " shards)\n";
-    os << "  components        : "
-       << format_number(s->number_or("components")) << " ("
-       << format_number(s->number_or("splits")) << " split)\n";
-    const JsonValue* fallback = s->find("fallback_monolithic");
-    os << "  fallback          : "
-       << ((fallback != nullptr && fallback->is_bool() && fallback->as_bool())
-               ? "monolithic re-solve"
-               : "none")
-       << "\n";
-    os << "  repair moves      : "
-       << format_number(s->number_or("repair_moves")) << " (+"
-       << format_number(s->number_or("drain_moves")) << " drain, "
-       << format_number(s->number_or("drained_nodes"))
-       << " nodes drained)\n";
-    os << "  boundary requests : "
-       << format_number(s->number_or("boundary_requests")) << "\n";
-    os << "  rebalances        : "
-       << format_number(s->number_or("rebalances")) << " ("
-       << format_number(s->number_or("migrations")) << " migrations)\n";
   }
 
   if (const JsonValue* s = report.find("solver")) {

@@ -139,21 +139,30 @@ Workload WorkloadGenerator::generate(Rng& rng) const {
     use_count[f] = 1;
   }
 
-  // Finalize M_f (Eq. 3: M_f ≤ |R_f|) and μ_f.
-  for (Vnf& f : w.vnfs) {
-    double offered = 0.0;  // Σ_{r ∈ R_f} λ_r / P_r
-    std::uint32_t users = 0;
-    for (const Request& r : w.requests) {
-      if (r.uses(f.id)) {
-        ++users;
-        offered += r.effective_rate();
-      }
+  // Finalize M_f (Eq. 3: M_f ≤ |R_f|) and μ_f.  |R_f| and
+  // offered_f = Σ_{r ∈ R_f} λ_r / P_r come from one sweep over the chains,
+  // adding in request order as a per-VNF scan would; the stamp counts a
+  // VNF repeated inside one chain once.
+  constexpr std::uint32_t kNoRequest = 0xffffffffu;
+  std::vector<std::uint32_t> users(config_.vnf_count, 0);
+  std::vector<double> offered(config_.vnf_count, 0.0);
+  std::vector<std::uint32_t> seen_in(config_.vnf_count, kNoRequest);
+  for (std::uint32_t r_idx = 0; r_idx < w.requests.size(); ++r_idx) {
+    const Request& r = w.requests[r_idx];
+    for (const VnfId f : r.chain) {
+      if (seen_in[f.index()] == r_idx) continue;
+      seen_in[f.index()] = r_idx;
+      ++users[f.index()];
+      offered[f.index()] += r.effective_rate();
     }
-    NFV_CHECK(users > 0);
+  }
+  for (Vnf& f : w.vnfs) {
+    const std::uint32_t users_f = users[f.id.index()];
+    NFV_CHECK(users_f > 0);
     const auto wanted = static_cast<std::uint32_t>(std::ceil(
-        static_cast<double>(users) /
+        static_cast<double>(users_f) /
         static_cast<double>(config_.requests_per_instance)));
-    f.instance_count = std::clamp<std::uint32_t>(wanted, 1, users);
+    f.instance_count = std::clamp<std::uint32_t>(wanted, 1, users_f);
     switch (config_.service_rate_policy) {
       case ServiceRatePolicy::kCatalog: {
         const VnfType& type = vnf_catalog()[f.catalog_index];
@@ -162,7 +171,7 @@ Workload WorkloadGenerator::generate(Rng& rng) const {
         break;
       }
       case ServiceRatePolicy::kScaledToLoad:
-        f.service_rate = config_.service_headroom * offered /
+        f.service_rate = config_.service_headroom * offered[f.id.index()] /
                          static_cast<double>(f.instance_count);
         break;
     }

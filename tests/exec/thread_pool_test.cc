@@ -35,12 +35,16 @@ TEST(ThreadPool, ParallelMapFillsByIndex) {
 }
 
 TEST(ThreadPool, ReusableAcrossManyRegions) {
-  ThreadPool pool(2);
+  // Many short regions back to back: each region lives on the caller's
+  // stack and is destroyed as soon as its last chunk completes, so under
+  // -fsanitize=thread this also checks that no worker touches a finished
+  // region.
+  ThreadPool pool(4);
   std::atomic<std::size_t> total{0};
-  for (int region = 0; region < 50; ++region) {
-    pool.parallel_for(10, [&](std::size_t) { ++total; });
+  for (int region = 0; region < 20000; ++region) {
+    pool.parallel_for(4, [&](std::size_t) { ++total; });
   }
-  EXPECT_EQ(total.load(), 500u);
+  EXPECT_EQ(total.load(), 80000u);
 }
 
 TEST(ThreadPool, ExceptionPropagatesAndPoolSurvives) {
