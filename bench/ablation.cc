@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   const auto& runs = cli.add_int("runs", 'r', "Monte-Carlo repetitions", 200);
   const auto& seed = cli.add_int("seed", 's', "base RNG seed", 21);
   const auto& csv = cli.add_flag("csv", 'c', "emit CSV instead of Markdown");
-  if (!cli.parse(argc, argv)) return 1;
+  if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 2;
 
   nfv::bench::print_banner(
       "Ablation A — placement policy (15 VNFs, 12 nodes, load 0.60)",

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   const auto& duration = cli.add_double("duration", 'd',
                                         "simulated seconds per point", 2000.0);
   const auto& seed = cli.add_int("seed", 's', "RNG seed", 99);
-  if (!cli.parse(argc, argv)) return 1;
+  if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 2;
 
   nfv::bench::print_banner(
       "DES validation 1 — M/M/1 closed forms",

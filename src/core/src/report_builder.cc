@@ -96,30 +96,6 @@ void fill_des(const sim::SimResult& sim, obs::DesSection& out) {
   }
 }
 
-void fill_resilience(const ReportInputs& in, obs::ResilienceSection& out) {
-  out.present = true;
-  out.events.reserve(in.resilience.size());
-  for (const RecoveryReport& r : in.resilience) {
-    obs::ResilienceEventEntry e;
-    e.time = r.time;
-    e.node = in.model != nullptr
-                 ? in.model->topology.label(r.node)
-                 : "node" + std::to_string(r.node.value());
-    e.node_up = r.node_up;
-    e.resolution = std::string(to_string(r.resolution));
-    e.vnfs_migrated = r.vnfs_migrated;
-    e.requests_shed = r.requests_shed;
-    e.requests_restored = r.requests_restored;
-    e.time_to_recover = r.time_to_recover;
-    e.availability = r.availability;
-    out.worst_availability = std::min(out.worst_availability, r.availability);
-    out.final_availability = r.availability;
-    out.total_shed += r.requests_shed;
-    ++out.resolutions[e.resolution];
-    out.events.push_back(std::move(e));
-  }
-}
-
 void fill_solver(const ReportInputs& in, obs::SolverSection& out) {
   const SolverOutcome& s = *in.solver;
   out.present = true;
@@ -153,9 +129,6 @@ obs::RunReport build_run_report(const ReportInputs& inputs) {
     fill_requests(inputs, report.requests);
   }
   if (inputs.sim != nullptr) fill_des(*inputs.sim, report.des);
-  if (!inputs.resilience.empty()) {
-    fill_resilience(inputs, report.resilience);
-  }
   if (inputs.serve != nullptr) report.serve = *inputs.serve;
   if (inputs.solver != nullptr) fill_solver(inputs, report.solver);
   if (inputs.metrics != nullptr) {

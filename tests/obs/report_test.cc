@@ -52,17 +52,12 @@ RunReport canned_report(double latency, double availability) {
   report.des.delivered = 490;
   report.des.buffer_drops = 10;
 
-  report.resilience.present = true;
-  ResilienceEventEntry event;
-  event.time = 3.5;
-  event.node = "n2";
-  event.resolution = "migrate";
-  event.vnfs_migrated = 1;
-  event.availability = availability;
-  report.resilience.events.push_back(event);
-  report.resilience.final_availability = availability;
-  report.resilience.worst_availability = availability;
-  report.resilience.resolutions["migrate"] = 1;
+  report.serve.present = true;
+  report.serve.events = 40;
+  report.serve.arrivals = 12;
+  report.serve.node_downs = 1;
+  report.serve.evacuated_requests = 3;
+  report.serve.availability = availability;
   return report;
 }
 
@@ -89,10 +84,11 @@ TEST(RunReport, RoundTripsThroughWriteAndLoad) {
   ASSERT_EQ(loads.size(), 2u);
   EXPECT_DOUBLE_EQ(loads[0].as_number(), 55.0);
   EXPECT_DOUBLE_EQ(loads[1].as_number(), 48.0);
-  const JsonValue* resilience = loaded.find("resilience");
-  ASSERT_NE(resilience, nullptr);
+  const JsonValue* serve = loaded.find("serve");
+  ASSERT_NE(serve, nullptr);
+  EXPECT_DOUBLE_EQ(serve->number_or("availability"), 0.99);
   EXPECT_DOUBLE_EQ(
-      resilience->find("resolutions")->number_or("migrate"), 1.0);
+      serve->find("churn")->number_or("evacuated_requests"), 3.0);
 }
 
 TEST(RunReport, AbsentSectionsAreOmitted) {
@@ -102,7 +98,8 @@ TEST(RunReport, AbsentSectionsAreOmitted) {
   EXPECT_EQ(loaded.find("placement"), nullptr);
   EXPECT_EQ(loaded.find("scheduling"), nullptr);
   EXPECT_EQ(loaded.find("des"), nullptr);
-  EXPECT_EQ(loaded.find("resilience"), nullptr);
+  EXPECT_EQ(loaded.find("serve"), nullptr);
+  EXPECT_EQ(loaded.find("solver"), nullptr);
   EXPECT_EQ(loaded.find("metrics"), nullptr);
 }
 
@@ -119,6 +116,24 @@ TEST(RunReport, PrettyPrintMentionsKeySections) {
   EXPECT_NE(text.find("BFDSU"), std::string::npos);
   EXPECT_NE(text.find("RCKK"), std::string::npos);
   EXPECT_NE(text.find("FW-1"), std::string::npos);
+}
+
+TEST(RunReport, RetiredSectionsStillLoadAndPrint) {
+  // Reports written before a section was retired (here the offline
+  // resilience trail) load as generic JSON: the printer skips the unknown
+  // key and the differ reports its leaves as one-sided.
+  const auto old = load_run_report(
+      R"({"schema": "nfvpr.run_report/1", "command": "chaos", "seed": 21,)"
+      R"("resilience": {"final_availability": 0.97, "total_shed": 4,)"
+      R"("resolutions": {"local-repair": 3}, "events": []}})");
+  ASSERT_NE(old.find("resilience"), nullptr);
+  const std::string text = pretty_print_report(old);
+  EXPECT_NE(text.find("chaos"), std::string::npos);
+  const auto current = load_run_report(serialize(canned_report(0.05, 0.99)));
+  const ReportDiff diff = diff_reports(old, current, 1.0);
+  EXPECT_NE(std::find(diff.only_before.begin(), diff.only_before.end(),
+                      "resilience.final_availability"),
+            diff.only_before.end());
 }
 
 TEST(ReportDiff, FlagsRegressionsAndImprovements) {
@@ -140,8 +155,7 @@ TEST(ReportDiff, FlagsRegressionsAndImprovements) {
   EXPECT_TRUE(latency->regression);
   EXPECT_FALSE(latency->improvement);
   EXPECT_NEAR(latency->pct, 20.0, 1e-9);
-  const DiffEntry* availability =
-      find_entry("resilience.final_availability");
+  const DiffEntry* availability = find_entry("serve.availability");
   ASSERT_NE(availability, nullptr);
   EXPECT_TRUE(availability->improvement);
   EXPECT_GE(diff.regressions, 1u);
@@ -208,7 +222,7 @@ TEST(ReportDiff, OneSidedMetricsCarryTheirValues) {
   RunReport base = canned_report(0.05, 0.99);
   RunReport cand = canned_report(0.05, 0.99);
   base.des.present = false;      // des.* only in the candidate -> added
-  cand.resilience.present = false;  // resilience.* only in baseline -> removed
+  cand.serve.present = false;    // serve.* only in baseline -> removed
   const auto before = load_run_report(serialize(base));
   const auto after = load_run_report(serialize(cand));
   const ReportDiff diff = diff_reports(before, after, 1.0);
@@ -221,7 +235,7 @@ TEST(ReportDiff, OneSidedMetricsCarryTheirValues) {
     return it == v.end() ? nullptr : &*it;
   };
   const LeafChange* removed =
-      find_leaf(diff.removed, "resilience.final_availability");
+      find_leaf(diff.removed, "serve.availability");
   ASSERT_NE(removed, nullptr);
   EXPECT_EQ(removed->value, "0.99");
   const LeafChange* added = find_leaf(diff.added, "des.events");
@@ -232,8 +246,8 @@ TEST(ReportDiff, OneSidedMetricsCarryTheirValues) {
   EXPECT_EQ(diff.added.size(), diff.only_after.size());
 
   const std::string text = render_diff(diff);
-  EXPECT_NE(text.find("only in baseline: resilience.final_availability"
-                      " = 0.99 (removed)"),
+  EXPECT_NE(text.find("only in baseline: serve.availability = 0.99"
+                      " (removed)"),
             std::string::npos);
   EXPECT_NE(text.find("only in current:  des.events = 1000 (added)"),
             std::string::npos);

@@ -4,6 +4,7 @@
 // integral, and the trace-level validity rules for NODE_DOWN/NODE_UP.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 
 #include "nfv/serve/engine.h"
@@ -132,6 +133,57 @@ TEST(ServeChurn, ParkedRequestRetriesAfterBackoffOnRejoin) {
   EXPECT_EQ(s.retry_admitted, 1u);
   EXPECT_EQ(s.retry_queued, 0u);
   EXPECT_EQ(s.live_requests, 2u);  // requests 1 and 3
+}
+
+TEST(ServeChurn, TotalOutageParksEverythingAndRecovers) {
+  // Every node goes down while four requests are live: nothing can stay
+  // placed, so every request parks (none is lost), and the first node to
+  // rejoin takes retries once the backoff gate passes.  One 60-unit
+  // instance fits per node.
+  ServeConfig cfg = zero_headroom();
+  cfg.retry_backoff_base = 4;
+  ServeEngine engine(make_topo({100.0, 100.0, 100.0}),
+                     make_vnfs(2, 60.0, 10.0), cfg);
+  engine.on_event(arrive(0.0, 1, 3.0, {0}));      // index 0
+  engine.on_event(arrive(0.1, 2, 3.0, {1}));      // index 1
+  engine.on_event(arrive(0.2, 3, 2.0, {0, 1}));   // index 2
+  engine.on_event(arrive(0.3, 4, 1.0, {0}));      // index 3
+  ASSERT_EQ(engine.summary().live_requests, 4u);
+
+  const auto accounted = [](const ServeSummary& s) {
+    return s.live_requests + s.queued_requests + s.retry_queued +
+           s.rejected + s.departures + s.shed + s.shed_fault +
+           s.shed_overload;
+  };
+  for (std::uint32_t node = 0; node < 3; ++node) {  // indices 4..6
+    engine.on_event(node_down(1.0 + node, node));
+  }
+  const ServeSummary out = engine.summary();
+  EXPECT_EQ(out.live_requests, 0u);
+  EXPECT_EQ(out.node_downs, 3u);
+  EXPECT_EQ(out.retry_queued, 4u);
+  EXPECT_EQ(out.arrivals, accounted(out));
+  const auto snap = engine.snapshot();
+  EXPECT_EQ(snap.nodes_down, (std::vector<std::uint32_t>{0, 1, 2}));
+  EXPECT_TRUE(snap.live.empty());
+  for (const auto& inst : snap.instances) {
+    EXPECT_EQ(std::count(snap.nodes_down.begin(), snap.nodes_down.end(),
+                         inst.node),
+              0)
+        << "active instance on down node " << inst.node;
+  }
+
+  // One node rejoins; retries wait for the event-indexed gate, so pass it
+  // with short-lived arrivals.
+  engine.on_event(node_up(4.0, 0));  // index 7
+  for (std::uint32_t i = 0; i < 6; ++i) {
+    engine.on_event(arrive(5.0 + i, 100 + i, 0.1, {0}));
+    engine.on_event(depart(5.5 + i, 100 + i));
+  }
+  const ServeSummary back = engine.summary();
+  EXPECT_GT(back.retry_admitted, 0u);
+  EXPECT_GT(back.live_requests, 0u);
+  EXPECT_EQ(back.arrivals, accounted(back));
 }
 
 TEST(ServeChurn, RetryBudgetExhaustionShedsWithAccounting) {

@@ -47,10 +47,14 @@ expect_exit 2 "missing flag value is a usage error" "$NFVPR" pipeline --seed
 expect_exit 2 "report without --in is a usage error" "$NFVPR" report
 
 # --threads must be a positive integer on every parallel-capable subcommand.
-for sub in place schedule pipeline simulate chaos serve; do
+for sub in place schedule pipeline simulate serve; do
   expect_exit 2 "$sub --threads 0 is a usage error" "$NFVPR" "$sub" --threads 0
   expect_exit 2 "$sub --threads x is a usage error" "$NFVPR" "$sub" --threads x
 done
+
+# chaos is not a subcommand: node churn runs through generate-trace
+# --churn-nodes + serve (see the smoke below).
+expect_exit 2 "chaos is an unknown subcommand" "$NFVPR" chaos
 
 # --shards is not a flag: scripts that still pass it fail loudly.
 for sub in place schedule pipeline serve; do
@@ -63,6 +67,28 @@ expect_exit 0 "generate-topology" \
 expect_exit 0 "generate-workload" \
   sh -c "'$NFVPR' generate-workload --vnfs 8 --requests 40 --seed 3 \
          > '$WORK/peak.wl'"
+# Negative counts and unknown kinds are rejected before anything is
+# allocated (previously a hang, std::bad_alloc or a 2^64-sized trace);
+# the timeout turns a regression into a failure instead of a stall.
+expect_exit 2 "generate-topology --nodes -2 exits 2" \
+  timeout 20 "$NFVPR" generate-topology --nodes -2
+expect_contains "$WORK/err.txt" 'flag value out of range' \
+  "generate-topology names the out-of-range flag value"
+expect_exit 2 "generate-topology --fat-k -2 exits 2" \
+  timeout 20 "$NFVPR" generate-topology --kind fattree --fat-k -2
+expect_exit 2 "generate-topology --kind bogus exits 2" \
+  timeout 20 "$NFVPR" generate-topology --kind bogus
+expect_exit 2 "generate-workload --vnfs -1 exits 2" \
+  timeout 20 "$NFVPR" generate-workload --vnfs -1
+expect_exit 2 "generate-workload --requests -5 exits 2" \
+  timeout 20 "$NFVPR" generate-workload --requests -5
+expect_exit 2 "generate-trace --events -1 exits 2" \
+  timeout 20 "$NFVPR" generate-trace --workload "$WORK/peak.wl" --events -1
+expect_contains "$WORK/err.txt" 'flag value out of range' \
+  "generate-trace names the out-of-range flag value"
+expect_exit 2 "generate-trace --population -3 exits 2" \
+  timeout 20 "$NFVPR" generate-trace --workload "$WORK/peak.wl" --population -3
+
 expect_exit 0 "pipeline with telemetry" \
   "$NFVPR" pipeline -t "$WORK/dc.topo" -w "$WORK/peak.wl" --seed 3 \
   --sim-duration 5 --metrics-out "$WORK/run.json" \
@@ -221,6 +247,17 @@ expect_exit 0 "serve churn replay with checkpointing" \
 cp "$WORK/out.txt" "$WORK/churn_full.txt"
 expect_contains "$WORK/churn_full.txt" 'availability' \
   "serve summary reports availability"
+
+# The chaos scenario end to end: a two-node churn trace on the generated
+# fixtures, served through the evacuation ladder.
+expect_exit 0 "generate-trace --churn-nodes 2" \
+  sh -c "'$NFVPR' generate-trace --workload '$WORK/peak.wl' --events 200 \
+         --seed 21 --churn-nodes 2 > '$WORK/chaos2.trace.json'"
+expect_exit 0 "serve the two-node churn trace" \
+  "$NFVPR" serve -t "$WORK/dc.topo" -w "$WORK/peak.wl" \
+  -T "$WORK/chaos2.trace.json"
+expect_contains "$WORK/out.txt" 'node churn' \
+  "serve reports node churn for a churn trace"
 
 # Kill mid-trace (simulated by a truncated trace), then resume over the
 # full trace: stdout and the report must be byte-identical to the

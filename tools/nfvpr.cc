@@ -7,7 +7,6 @@
 //   nfvpr pipeline --topology dc.topo --workload peak.wl
 //                  --metrics-out run.json --trace-out trace.json
 //   nfvpr simulate --topology dc.topo --workload peak.wl --duration 60
-//   nfvpr chaos    --nodes 8 --events 20 --max-down 3 --seed 21
 //   nfvpr report   --in run.json                   # pretty-print
 //   nfvpr report   --in run.json --baseline old.json   # diff
 #include <algorithm>
@@ -15,6 +14,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -25,7 +25,6 @@
 #include "nfv/common/table.h"
 #include "nfv/core/joint_optimizer.h"
 #include "nfv/core/report_builder.h"
-#include "nfv/core/resilience.h"
 #include "nfv/core/sim_builder.h"
 #include "nfv/core/solver.h"
 #include "nfv/core/tail_prediction.h"
@@ -64,8 +63,6 @@ int usage() {
       "  pipeline           run the full two-phase optimization (Eq. 16)\n"
       "  tail               per-request latency tail predictions (p50/p95/p99)\n"
       "  simulate           optimize, then replay packet-level and compare\n"
-      "  chaos              replay a seeded failure storm through the\n"
-      "                     resilience controller's escalation ladder\n"
       "  generate-trace     emit an event trace (nfvpr.trace/1, or /2 with\n"
       "                     node churn; --binary for compact nfvpr.btrace/1)\n"
       "                     from a workload\n"
@@ -81,7 +78,7 @@ int usage() {
       "                     aggregates, worst windows, --fail-on CI gates\n"
       "  report             pretty-print a run report, or diff two reports\n"
       "\n"
-      "place/schedule/pipeline/simulate/chaos/serve accept --metrics-out\n"
+      "place/schedule/pipeline/simulate/serve accept --metrics-out\n"
       "<path> (JSON run report), --trace-out <path> (Chrome trace-event JSON)\n"
       "and --threads N (parallel fan-out; results are identical for any N).\n"
       "place/pipeline/serve also accept --solver bfdsu|pso|lp|portfolio\n"
@@ -317,6 +314,10 @@ int cmd_generate_topology(int argc, const char* const* argv) {
   const auto& seed = cli.add_int("seed", 's', "RNG seed", 1);
   const auto& fat_k = cli.add_int("fat-k", '\0', "fat-tree arity (even)", 4);
   if (!cli.parse(argc, argv)) return parse_exit(cli);
+  if (nodes < 0 || fat_k < 0) {
+    std::fputs("nfvpr generate-topology: flag value out of range\n", stderr);
+    return 2;
+  }
   nfv::Rng rng(static_cast<std::uint64_t>(seed));
   const nfv::topo::CapacitySpec cap{cap_min, cap_max};
   const nfv::topo::LinkSpec link{latency};
@@ -335,8 +336,9 @@ int cmd_generate_topology(int argc, const char* const* argv) {
     t = nfv::topo::make_random_connected(static_cast<std::size_t>(nodes), 3.0,
                                          cap, link, rng);
   } else {
-    std::fprintf(stderr, "unknown kind '%s'\n", kind.c_str());
-    return 1;
+    std::fprintf(stderr, "nfvpr generate-topology: unknown kind '%s'\n",
+                 kind.c_str());
+    return 2;
   }
   nfv::topo::save_topology(t, std::cout);
   return 0;
@@ -352,6 +354,13 @@ int cmd_generate_workload(int argc, const char* const* argv) {
       cli.add_double("delivery-prob", 'p', "P per request", 0.98);
   const auto& seed = cli.add_int("seed", 's', "RNG seed", 1);
   if (!cli.parse(argc, argv)) return parse_exit(cli);
+  const auto fits_u32 = [](std::int64_t v) {
+    return v >= 0 && v <= std::numeric_limits<std::uint32_t>::max();
+  };
+  if (!fits_u32(vnfs) || !fits_u32(requests) || !fits_u32(templates)) {
+    std::fputs("nfvpr generate-workload: flag value out of range\n", stderr);
+    return 2;
+  }
   nfv::workload::WorkloadConfig cfg;
   cfg.vnf_count = static_cast<std::uint32_t>(vnfs);
   cfg.request_count = static_cast<std::uint32_t>(requests);
@@ -743,107 +752,6 @@ int cmd_simulate(int argc, const char* const* argv) {
   return 0;
 }
 
-int cmd_chaos(int argc, const char* const* argv) {
-  nfv::CliParser cli("nfvpr chaos",
-                     "replay a failure storm through the resilience ladder");
-  const auto& topology_file = cli.add_string("topology", 't', "topology file", "");
-  const auto& workload_file = cli.add_string("workload", 'w', "workload file", "");
-  const auto& nodes =
-      cli.add_int("nodes", 'n', "compute nodes (generated topology)", 8);
-  const auto& events = cli.add_int("events", 'e', "churn events", 20);
-  const auto& max_down =
-      cli.add_int("max-down", 'd', "max concurrently down nodes", 3);
-  const auto& interval =
-      cli.add_double("interval", 'i', "mean inter-event seconds", 5.0);
-  const auto& demand = cli.add_double(
-      "demand", 'D', "per-instance demand (generated workload)", 150.0);
-  const auto& seed = cli.add_int("seed", 's', "RNG seed", 21);
-  ThreadsFlag threads(cli);
-  Telemetry tele(cli);
-  if (!cli.parse(argc, argv)) return parse_exit(cli);
-  if (!threads.install()) return 2;
-
-  nfv::Rng rng(static_cast<std::uint64_t>(seed));
-  nfv::core::SystemModel model;
-  if (!topology_file.empty()) {
-    model.topology = read_topology(topology_file);
-  } else {
-    model.topology = nfv::topo::make_star(
-        static_cast<std::size_t>(nodes),
-        nfv::topo::CapacitySpec{1000.0, 1800.0}, nfv::topo::LinkSpec{2e-4},
-        rng);
-  }
-  if (!workload_file.empty()) {
-    model.workload = read_workload(workload_file);
-  } else {
-    nfv::workload::WorkloadConfig wcfg;
-    wcfg.vnf_count = 12;
-    wcfg.request_count = 80;
-    wcfg.fixed_demand_per_instance = demand;
-    wcfg.chain_template_count = 10;
-    model.workload = nfv::workload::WorkloadGenerator(wcfg).generate(rng);
-  }
-
-  nfv::Rng storm_rng(static_cast<std::uint64_t>(seed));
-  const auto churn = nfv::core::make_failure_storm(
-      model.topology.compute_count(), static_cast<std::size_t>(events),
-      storm_rng, interval, static_cast<std::size_t>(max_down));
-
-  tele.activate();
-  nfv::core::ResilienceController controller(
-      model, {}, static_cast<std::uint64_t>(seed));
-
-  nfv::core::ReportInputs inputs;
-  inputs.command = "chaos";
-  inputs.seed = static_cast<std::uint64_t>(seed);
-  inputs.model = &model;
-
-  if (controller.served_fraction() <= 0.0) {
-    tele.finish(inputs);
-    std::fprintf(stderr,
-                 "nfvpr chaos: the pristine model is infeasible — nothing "
-                 "deployed, no storm to survive\n");
-    return 3;
-  }
-  std::printf("deployed %zu VNFs / %zu requests; initial availability %.4f\n\n",
-              model.workload.vnfs.size(), model.workload.requests.size(),
-              controller.served_fraction());
-
-  nfv::Table table({"t", "node", "event", "resolution", "migr", "shed",
-                    "restored", "ttr s", "avail"});
-  table.set_precision(3);
-  for (const auto& e : churn) {
-    const auto report = controller.on_event(e);
-    table.add_row({report.time, model.topology.label(report.node),
-                   std::string(report.node_up ? "UP" : "DOWN"),
-                   std::string(nfv::core::to_string(report.resolution)),
-                   static_cast<long long>(report.vnfs_migrated),
-                   static_cast<long long>(report.requests_shed),
-                   static_cast<long long>(report.requests_restored),
-                   report.time_to_recover, report.availability});
-  }
-  inputs.resilience = controller.history();
-  tele.finish(inputs);
-  std::fputs(table.markdown().c_str(), stdout);
-
-  double worst = 1.0;
-  double ttr_sum = 0.0;
-  std::size_t failures = 0;
-  for (const auto& r : controller.history()) {
-    worst = std::min(worst, r.availability);
-    if (!r.node_up) {
-      ttr_sum += r.time_to_recover;
-      ++failures;
-    }
-  }
-  std::printf(
-      "\nfinal availability %.4f (worst %.4f), %zu requests shed, "
-      "mean time-to-recover %.2f s over %zu failures\n",
-      controller.served_fraction(), worst, controller.shed_count(),
-      failures > 0 ? ttr_sum / static_cast<double>(failures) : 0.0, failures);
-  return 0;
-}
-
 int cmd_generate_trace(int argc, const char* const* argv) {
   nfv::CliParser cli("nfvpr generate-trace",
                      "emit an event trace (nfvpr.trace/1) from a workload");
@@ -894,6 +802,10 @@ int cmd_generate_trace(int argc, const char* const* argv) {
   }
   if (churn_nodes < 0) {
     std::fputs("nfvpr generate-trace: --churn-nodes must be >= 0\n", stderr);
+    return 2;
+  }
+  if (events < 0 || population < 0) {
+    std::fputs("nfvpr generate-trace: flag value out of range\n", stderr);
     return 2;
   }
   const auto base = read_workload(workload_file);
@@ -1638,7 +1550,6 @@ int main(int argc, char** argv) {
     if (subcommand == "pipeline") return cmd_pipeline(sub_argc, sub_argv);
     if (subcommand == "tail") return cmd_tail(sub_argc, sub_argv);
     if (subcommand == "simulate") return cmd_simulate(sub_argc, sub_argv);
-    if (subcommand == "chaos") return cmd_chaos(sub_argc, sub_argv);
     if (subcommand == "generate-trace") {
       return cmd_generate_trace(sub_argc, sub_argv);
     }
