@@ -124,21 +124,21 @@ ReplayResult replay_once(const Fixture& fx, std::int64_t resolve_every,
     }
   };
 
+  // The online side of the gap is the Eq. 16 mean over the live requests
+  // at each re-solve point, computed on demand by summary().
   const auto replay_start = Clock::now();
-  double last_mean = 0.0;
   for (std::size_t i = 0; i < fx.trace.events.size(); ++i) {
     const auto start = Clock::now();
-    const auto outcome = engine.on_event(fx.trace.events[i]);
+    engine.on_event(fx.trace.events[i]);
     decision_us.push_back(us_between(start, Clock::now()));
-    last_mean = outcome.mean_predicted_latency;
     if (resolve_every > 0 &&
         (i + 1) % static_cast<std::size_t>(resolve_every) == 0 &&
         i + 1 < fx.trace.events.size()) {
-      resolve_now(last_mean);
+      resolve_now(engine.summary().mean_predicted_latency);
     }
   }
   out.replay_wall_us = us_between(replay_start, Clock::now());
-  resolve_now(last_mean);
+  resolve_now(engine.summary().mean_predicted_latency);
 
   double total_us = 0.0;
   for (const double us : decision_us) total_us += us;

@@ -1,8 +1,14 @@
 // Crash-safe checkpoint/resume for the online serving engine (DESIGN.md
-// §13): a versioned JSON snapshot ("nfvpr.checkpoint/1") of the FULL
-// engine state — instances, live/queued/retrying requests, node health,
-// degradation window, availability integrals, aggregate counters, and the
-// per-event outcome log — plus the trace cursor (events already applied).
+// §13): a versioned JSON snapshot ("nfvpr.checkpoint/1") of the live
+// engine state — active instances (in creation order; hops name them by
+// rank), live/queued/retrying requests, node health, degradation window,
+// availability integrals, aggregate counters — plus the trace cursor
+// (events already applied).  The per-event outcome log is included only
+// when the engine records one (ServeConfig::events_log), so a checkpoint
+// is bounded by the live state, not the trace length.  Files written
+// before that (with a log but no events_log switch, and with retired
+// instances) still restore: the log is dropped, the retired instances
+// compacted away.
 //
 // The resume contract is byte-identity: a run killed at any event index
 // and restored from its last checkpoint produces exactly the same final
@@ -51,7 +57,7 @@ struct CheckpointInfo {
   std::uint64_t vnf_count = 0;  ///< size of the VNF universe
   std::uint64_t node_count = 0;
   std::uint64_t live_requests = 0;
-  std::uint64_t logged_events = 0;
+  std::uint64_t logged_events = 0;  ///< 0 when the file holds no log
   /// Present when the checkpointed run was serving a binary trace.
   bool has_btrace_cursor = false;
   BinaryTraceCursor btrace;

@@ -33,14 +33,18 @@
 //    the node to the best-fit candidate set.  Sustained admission pressure
 //    flips the engine into a degraded mode that tightens headroom and
 //    sheds lowest-rate requests first.  Checkpoint/resume (checkpoint.h)
-//    snapshots the full state so a killed run continues bit-identically.
+//    snapshots the live state so a killed run continues bit-identically.
+//
+// Memory follows the live state, not the history: retired instance slots
+// are compacted away (creation order kept), and the per-event outcome log
+// — with its per-event Eq. 16 rescan — exists only when
+// `ServeConfig::events_log` asks for it.
 //
 // The engine is strictly deterministic — no RNG, no wall clock — and its
-// whole decision path is serial: the per-event Eq. 16 rescan is one loop
-// over reused scratch, not a thread-pool fan-out.  Replaying a trace
-// therefore yields a bit-identical state and report for any thread count,
-// and `--threads` does not change serve wall time; the flag stays so the
-// thread-count byte-identity tests keep exercising it.
+// whole decision path is serial.  Replaying a trace therefore yields a
+// bit-identical state and report for any thread count, and `--threads`
+// does not change serve wall time; the flag stays so the thread-count
+// byte-identity tests keep exercising it.
 #pragma once
 
 #include <cstdint>
@@ -113,6 +117,11 @@ struct ServeConfig {
   std::size_t timeline_span = 8;
   /// Record the per-request lifecycle stream (admit/place/migrate/...).
   bool lifecycle = false;
+  /// Record the per-event outcome log (log()), each entry with the Eq. 16
+  /// mean/p99 over the live requests after that event.  Costs one
+  /// live-set rescan per event and O(events) memory; off, the engine keeps
+  /// neither.
+  bool events_log = false;
 
   /// Elastic autoscaling (DESIGN.md §16): when `autoscale.policy` is not
   /// kOff the engine evaluates the ScalingController at every
@@ -141,7 +150,7 @@ enum class Decision : std::uint8_t {
 
 [[nodiscard]] std::string_view to_string(Decision decision);
 
-/// Per-event outcome record.
+/// What one event did (on_event's return value).
 struct EventOutcome {
   std::uint64_t index = 0;  ///< position in the trace
   double time = 0.0;
@@ -159,7 +168,14 @@ struct EventOutcome {
   std::uint32_t shed_fault = 0;          ///< sheds charged to node faults
   std::uint32_t shed_overload = 0;       ///< sheds charged to degradation
   bool degraded = false;                 ///< engine degraded after this event
-  double mean_predicted_latency = 0.0;   ///< Eq. 16 mean over live requests
+
+  friend bool operator==(const EventOutcome&, const EventOutcome&) = default;
+};
+
+/// One events-log entry: the outcome plus the Eq. 16 figures over the live
+/// requests right after the event.
+struct LoggedOutcome : EventOutcome {
+  double mean_predicted_latency = 0.0;
   double p99_predicted_latency = 0.0;
 };
 
@@ -230,12 +246,6 @@ class ServeEngine {
   /// Replays a whole trace; returns one outcome per event.
   std::vector<EventOutcome> replay(const workload::EventTrace& trace);
 
-  /// Applies `count` events from contiguous storage as one micro-batch.
-  /// Decisions, state, and the log are bit-identical to calling on_event
-  /// in a loop — only the bookkeeping is amortized (log growth reserved
-  /// once per batch, no per-event outcome copy back to the caller).
-  void apply_batch(const workload::StreamEvent* events, std::size_t count);
-
   /// Streams up to `limit` events out of a binary trace decoder in
   /// micro-batches of `batch_size`, reusing one decode buffer so the
   /// steady-state loop performs no heap allocation, and returns the number
@@ -247,8 +257,12 @@ class ServeEngine {
       workload::BinaryTraceDecoder& decoder, std::size_t batch_size = 256,
       std::uint64_t limit = ~std::uint64_t{0});
 
-  /// All outcomes so far, in event order.
-  [[nodiscard]] const std::vector<EventOutcome>& log() const { return log_; }
+  /// All outcomes so far, in event order (empty unless
+  /// config().events_log).
+  [[nodiscard]] const std::vector<LoggedOutcome>& log() const { return log_; }
+
+  /// Time of the last applied event (0 before the first).
+  [[nodiscard]] double last_time() const { return last_time_; }
 
   [[nodiscard]] ServeSummary summary() const;
 
@@ -314,6 +328,7 @@ class ServeEngine {
     double raw_load = 0.0;
     double effective_load = 0.0;
     std::vector<std::uint32_t> members;  ///< sorted request ids
+    /// Closed; the slot is dropped by the next compact_instances().
     bool retired = false;
     /// Scale-in in progress (autoscale only): excluded from every
     /// placement/relocation candidate scan; retired once the last member
@@ -357,6 +372,12 @@ class ServeEngine {
       double rate, double prob, const std::vector<std::uint32_t>& chain);
   std::uint32_t open_instance(std::uint32_t vnf, std::uint32_t node);
   void retire_instance(std::uint32_t slot);
+  /// Marks a slot retired and drops it from its VNF's active list.
+  void close_slot(std::uint32_t slot);
+  /// Drops retired slots once they outnumber the active ones, keeping
+  /// creation order and remapping active_of_vnf_ and every hop_instance.
+  /// Runs between events only: mid-event code still reads retired slots.
+  void compact_instances();
   void add_to_instance(std::uint32_t slot, std::uint32_t id, double rate,
                        double prob);
   /// Returns true when the instance emptied and was retired.
@@ -398,14 +419,11 @@ class ServeEngine {
                        EventOutcome& outcome);
   void drain_queue(EventOutcome& outcome,
                    std::vector<std::uint32_t>& touched_vnfs);
-  void finish_outcome(EventOutcome& outcome);
+  void finish_outcome(const EventOutcome& outcome);
   /// predicted_latencies() into `out`, in one serial pass; `nodes` is
   /// scratch for each request's distinct-node count.
   void predicted_latencies(std::vector<double>& out,
                            std::vector<std::uint32_t>& nodes) const;
-  /// on_event minus the outcome copy-out: appends to log_ and returns
-  /// nothing.  The shared body of on_event and apply_batch.
-  void process_event(const workload::StreamEvent& event);
 
   // --- elastic autoscaling (DESIGN.md §16) ---
   [[nodiscard]] bool autoscale_on() const {
@@ -472,7 +490,9 @@ class ServeEngine {
   ServeConfig config_;
   double link_latency_ = 0.0;
 
-  std::vector<Instance> instances_;  ///< append-only; retired slots flagged
+  /// Creation order; retired slots linger only until compact_instances().
+  std::vector<Instance> instances_;
+  std::size_t retired_slots_ = 0;  ///< retired entries still in instances_
   std::vector<std::vector<std::uint32_t>> active_of_vnf_;  ///< by seq order
   std::vector<double> node_free_;
   std::vector<std::uint32_t> node_instances_;
@@ -485,7 +505,7 @@ class ServeEngine {
   /// because the trace generator cannot know the engine turned them away.
   /// Ordered so checkpoints serialize it deterministically.
   std::set<std::uint32_t> gone_;
-  std::vector<EventOutcome> log_;
+  std::vector<LoggedOutcome> log_;  ///< only when config_.events_log
   double last_time_ = 0.0;
   bool saw_event_ = false;
   std::uint64_t next_seq_ = 0;
@@ -503,9 +523,11 @@ class ServeEngine {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> members_scratch_;
   sched::SchedulingProblem problem_scratch_;
   std::vector<std::uint32_t> current_scratch_;
-  // finish_outcome(): the Eq. 16 rescan's latencies and per-request nodes.
+  // finish_outcome(): the events log's Eq. 16 rescan (latencies and
+  // per-request nodes); compact_instances(): old slot -> new slot.
   std::vector<double> latency_scratch_;
   std::vector<std::uint32_t> hop_nodes_scratch_;
+  std::vector<std::uint32_t> remap_scratch_;
 
   // Degradation window: last `overload_window` pressure bits, oldest first.
   std::vector<std::uint8_t> pressure_window_;
@@ -551,7 +573,8 @@ class ServeEngine {
 };
 
 /// Converts the engine's state into the run-report section; per-event
-/// entries are included only when `include_events`.
+/// entries are included only when `include_events`, which requires an
+/// engine recording its log (config().events_log).
 [[nodiscard]] obs::ServeSection make_serve_section(const ServeEngine& engine,
                                                    bool include_events);
 

@@ -109,7 +109,8 @@ obs::JsonValue parse_document(std::string_view text) {
 
 /// Reads the optional telemetry config fields (absent in pre-telemetry
 /// checkpoints, and omitted when telemetry is off so those files stay
-/// byte-identical to the old format).
+/// byte-identical to the old format).  The events-log switch follows the
+/// same rule.
 void read_telemetry_config(const obs::JsonValue& c, ServeConfig& config) {
   if (c.find("snapshot_every") != nullptr) {
     config.snapshot_every = get_double(c, "snapshot_every");
@@ -125,6 +126,9 @@ void read_telemetry_config(const obs::JsonValue& c, ServeConfig& config) {
   }
   if (c.find("lifecycle") != nullptr) {
     config.lifecycle = get_bool(c, "lifecycle");
+  }
+  if (c.find("events_log") != nullptr) {
+    config.events_log = get_bool(c, "events_log");
   }
 }
 
@@ -264,6 +268,7 @@ struct CheckpointIo {
       w.kv("timeline_span", static_cast<std::uint64_t>(c.timeline_span));
     }
     if (c.lifecycle) w.kv("lifecycle", true);
+    if (c.events_log) w.kv("events_log", true);
     // Autoscale config only when the policy is on (same conditional-
     // emission rule as the telemetry fields above).
     if (c.autoscale.enabled()) {
@@ -304,16 +309,23 @@ struct CheckpointIo {
     for (const std::uint8_t u : e.node_up_) w.value(std::uint64_t{u});
     w.end_array();
 
+    // Active instances only, in slot (= creation) order; hops below name
+    // an instance by its rank in this list, so a file never depends on
+    // whether the engine had compacted its retired slots yet.
+    std::vector<std::uint32_t> rank(e.instances_.size(), 0);
     w.key("instances");
     w.begin_array();
-    for (const ServeEngine::Instance& inst : e.instances_) {
+    std::uint32_t written = 0;
+    for (std::size_t slot = 0; slot < e.instances_.size(); ++slot) {
+      const ServeEngine::Instance& inst = e.instances_[slot];
+      if (inst.retired) continue;
+      rank[slot] = written++;
       w.begin_object();
       w.kv("vnf", std::uint64_t{inst.vnf});
       w.kv("node", std::uint64_t{inst.node});
       w.kv("seq", inst.seq);
       w.kv("raw_load", inst.raw_load);
       w.kv("effective_load", inst.effective_load);
-      w.kv("retired", inst.retired);
       // Written only when set, so off-runs (where it is always false)
       // serialize exactly as before.
       if (inst.draining) w.kv("draining", true);
@@ -333,7 +345,7 @@ struct CheckpointIo {
       w.key("hops");
       w.begin_array();
       for (const std::uint32_t slot : r.hop_instance) {
-        w.value(std::uint64_t{slot});
+        w.value(std::uint64_t{rank[slot]});
       }
       w.end_array();
       w.end_object();
@@ -395,31 +407,37 @@ struct CheckpointIo {
     w.kv("degraded_events", t.degraded_events);
     w.end_object();
 
-    w.key("log");
-    w.begin_array();
-    for (const EventOutcome& o : e.log_) {
-      w.begin_object();
-      w.kv("index", o.index);
-      w.kv("t", o.time);
-      w.kv("kind", std::uint64_t{static_cast<std::uint8_t>(o.kind)});
-      w.kv("request", std::uint64_t{o.request});
-      w.kv("decision", std::uint64_t{static_cast<std::uint8_t>(o.decision)});
-      w.kv("migrations", std::uint64_t{o.migrations});
-      w.kv("scale_outs", std::uint64_t{o.scale_outs});
-      w.kv("scale_ins", std::uint64_t{o.scale_ins});
-      w.kv("admitted_from_queue", std::uint64_t{o.admitted_from_queue});
-      w.kv("evacuated", std::uint64_t{o.evacuated});
-      w.kv("evacuation_migrations", std::uint64_t{o.evacuation_migrations});
-      w.kv("parked", std::uint64_t{o.parked});
-      w.kv("retry_admitted", std::uint64_t{o.retry_admitted});
-      w.kv("shed_fault", std::uint64_t{o.shed_fault});
-      w.kv("shed_overload", std::uint64_t{o.shed_overload});
-      w.kv("degraded", o.degraded);
-      w.kv("mean_predicted_latency", o.mean_predicted_latency);
-      w.kv("p99_predicted_latency", o.p99_predicted_latency);
-      w.end_object();
+    // The outcome log only while recording: it is the one O(history)
+    // section, and without it a checkpoint is bounded by the live state.
+    if (c.events_log) {
+      w.key("log");
+      w.begin_array();
+      for (const LoggedOutcome& o : e.log_) {
+        w.begin_object();
+        w.kv("index", o.index);
+        w.kv("t", o.time);
+        w.kv("kind", std::uint64_t{static_cast<std::uint8_t>(o.kind)});
+        w.kv("request", std::uint64_t{o.request});
+        w.kv("decision",
+             std::uint64_t{static_cast<std::uint8_t>(o.decision)});
+        w.kv("migrations", std::uint64_t{o.migrations});
+        w.kv("scale_outs", std::uint64_t{o.scale_outs});
+        w.kv("scale_ins", std::uint64_t{o.scale_ins});
+        w.kv("admitted_from_queue", std::uint64_t{o.admitted_from_queue});
+        w.kv("evacuated", std::uint64_t{o.evacuated});
+        w.kv("evacuation_migrations",
+             std::uint64_t{o.evacuation_migrations});
+        w.kv("parked", std::uint64_t{o.parked});
+        w.kv("retry_admitted", std::uint64_t{o.retry_admitted});
+        w.kv("shed_fault", std::uint64_t{o.shed_fault});
+        w.kv("shed_overload", std::uint64_t{o.shed_overload});
+        w.kv("degraded", o.degraded);
+        w.kv("mean_predicted_latency", o.mean_predicted_latency);
+        w.kv("p99_predicted_latency", o.p99_predicted_latency);
+        w.end_object();
+      }
+      w.end_array();
     }
-    w.end_array();
 
     if (e.autoscale_on()) {
       w.key("autoscale");
@@ -615,7 +633,14 @@ struct CheckpointIo {
       e.node_up_[v] = node_up[v].as_number() != 0.0 ? 1 : 0;
     }
 
+    // Hops name an instance by its position in this array.  Files from
+    // before slot compaction also list retired instances ("retired":
+    // true); those are dropped here and the survivors renumbered by rank,
+    // exactly as the writer numbers them.
+    constexpr auto kDropped = std::numeric_limits<std::uint32_t>::max();
+    std::vector<std::uint32_t> rank;
     e.instances_.clear();
+    e.retired_slots_ = 0;
     for (auto& act : e.active_of_vnf_) act.clear();
     for (const obs::JsonValue& j : get_array(doc, "instances")) {
       if (!j.is_object()) ckpt_fail("instance entries must be objects");
@@ -629,7 +654,7 @@ struct CheckpointIo {
       inst.seq = get_uint(j, "seq");
       inst.raw_load = get_double(j, "raw_load");
       inst.effective_load = get_double(j, "effective_load");
-      inst.retired = get_bool(j, "retired");
+      if (j.find("retired") != nullptr) inst.retired = get_bool(j, "retired");
       if (j.find("draining") != nullptr) {
         if (!e.autoscale_on()) {
           ckpt_fail("instance is draining but autoscaling is off");
@@ -641,8 +666,13 @@ struct CheckpointIo {
       }
       inst.members = get_u32_vector(
           j, "members", std::numeric_limits<std::uint32_t>::max());
+      if (inst.retired) {
+        rank.push_back(kDropped);
+        continue;
+      }
       const auto slot = static_cast<std::uint32_t>(e.instances_.size());
-      if (!inst.retired) e.active_of_vnf_[inst.vnf].push_back(slot);
+      rank.push_back(slot);
+      e.active_of_vnf_[inst.vnf].push_back(slot);
       e.instances_.push_back(std::move(inst));
     }
 
@@ -654,14 +684,15 @@ struct CheckpointIo {
       r.rate = get_double(j, "rate");
       r.prob = get_double(j, "prob");
       r.chain = get_u32_vector(j, "chain", vnf_count);
-      r.hop_instance = get_u32_vector(j, "hops", e.instances_.size());
+      r.hop_instance = get_u32_vector(j, "hops", rank.size());
       if (r.hop_instance.size() != r.chain.size()) {
         ckpt_fail("live request hops/chain size mismatch");
       }
-      for (const std::uint32_t slot : r.hop_instance) {
-        if (e.instances_[slot].retired) {
+      for (std::uint32_t& slot : r.hop_instance) {
+        if (rank[slot] == kDropped) {
           ckpt_fail("live request bound to a retired instance");
         }
+        slot = rank[slot];
       }
       if (!e.live_.emplace(id, std::move(r)).second) {
         ckpt_fail("duplicate live request id");
@@ -723,10 +754,18 @@ struct CheckpointIo {
     s.degradations = get_uint(t, "degradations");
     s.degraded_events = get_uint(t, "degraded_events");
 
+    // The outcome log is required while recording.  Files from before the
+    // log was opt-in carry one without the config switch: it is still
+    // validated, then dropped.
     e.log_.clear();
-    for (const obs::JsonValue& j : get_array(doc, "log")) {
+    const bool has_log = doc.find("log") != nullptr;
+    if (e.config_.events_log && !has_log) {
+      ckpt_fail("config enables the events log but it is missing");
+    }
+    const obs::JsonValue::Array no_log;
+    for (const obs::JsonValue& j : has_log ? get_array(doc, "log") : no_log) {
       if (!j.is_object()) ckpt_fail("log entries must be objects");
-      EventOutcome o;
+      LoggedOutcome o;
       o.index = get_uint(j, "index");
       o.time = get_double(j, "t");
       const std::uint64_t kind = get_uint(j, "kind");
@@ -758,7 +797,7 @@ struct CheckpointIo {
       o.degraded = get_bool(j, "degraded");
       o.mean_predicted_latency = get_double(j, "mean_predicted_latency");
       o.p99_predicted_latency = get_double(j, "p99_predicted_latency");
-      e.log_.push_back(o);
+      if (e.config_.events_log) e.log_.push_back(o);
     }
 
     const bool has_timeline = doc.find("timeline") != nullptr;
@@ -1000,7 +1039,8 @@ CheckpointInfo peek_checkpoint(std::string_view text) {
   info.vnf_count = get_uint(doc, "vnf_count");
   info.node_count = get_uint(doc, "node_count");
   info.live_requests = get_array(doc, "live").size();
-  info.logged_events = get_array(doc, "log").size();
+  info.logged_events =
+      doc.find("log") != nullptr ? get_array(doc, "log").size() : 0;
 
   // Full structural sweep: re-run the state walk against a throwaway
   // engine sized from the document itself, so the fuzz target exercises

@@ -212,16 +212,45 @@ std::uint32_t ServeEngine::open_instance(std::uint32_t vnf,
 }
 
 void ServeEngine::retire_instance(std::uint32_t slot) {
-  Instance& inst = instances_[slot];
+  const Instance& inst = instances_[slot];
   NFV_CHECK(!inst.retired && inst.members.empty());
+  close_slot(slot);
+  node_free_[inst.node] += vnfs_[inst.vnf].demand_per_instance;
+  --node_instances_[inst.node];
+}
+
+void ServeEngine::close_slot(std::uint32_t slot) {
+  Instance& inst = instances_[slot];
   inst.retired = true;
   inst.draining = false;  // a retired instance has finished its drain
   inst.raw_load = 0.0;
   inst.effective_load = 0.0;
   auto& act = active_of_vnf_[inst.vnf];
   act.erase(std::find(act.begin(), act.end(), slot));
-  node_free_[inst.node] += vnfs_[inst.vnf].demand_per_instance;
-  --node_instances_[inst.node];
+  ++retired_slots_;
+}
+
+void ServeEngine::compact_instances() {
+  // Slots keep their relative (= creation) order, so every scan in slot
+  // or active-list order — and thus every tie-break — is unchanged.
+  std::vector<std::uint32_t>& remap = remap_scratch_;
+  remap.assign(instances_.size(), 0);
+  std::uint32_t kept = 0;
+  for (std::uint32_t slot = 0;
+       slot < static_cast<std::uint32_t>(instances_.size()); ++slot) {
+    if (instances_[slot].retired) continue;
+    remap[slot] = kept;
+    if (kept != slot) instances_[kept] = std::move(instances_[slot]);
+    ++kept;
+  }
+  instances_.resize(kept);
+  retired_slots_ = 0;
+  for (auto& act : active_of_vnf_) {
+    for (std::uint32_t& slot : act) slot = remap[slot];
+  }
+  for (auto& [id, r] : live_) {
+    for (std::uint32_t& slot : r.hop_instance) slot = remap[slot];
+  }
 }
 
 void ServeEngine::add_to_instance(std::uint32_t slot, std::uint32_t id,
@@ -733,16 +762,11 @@ void ServeEngine::handle_node_down(const workload::StreamEvent& event,
     Instance& inst = instances_[slot];
     if (inst.retired || inst.node != node) continue;
     affected.insert(affected.end(), inst.members.begin(), inst.members.end());
-    inst.retired = true;
-    // A drain in progress dies with the node: the members land in
-    // `affected` and ride the evacuation ladder like everyone else, so a
-    // mid-drain NODE_DOWN strands nothing.
-    inst.draining = false;
-    inst.raw_load = 0.0;
-    inst.effective_load = 0.0;
     inst.members.clear();
-    auto& act = active_of_vnf_[inst.vnf];
-    act.erase(std::find(act.begin(), act.end(), slot));
+    // A drain in progress dies with the node (close_slot clears the bit):
+    // the members land in `affected` and ride the evacuation ladder like
+    // everyone else, so a mid-drain NODE_DOWN strands nothing.
+    close_slot(slot);
     ++totals_.instances_closed;
     ++work_;
   }
@@ -973,7 +997,9 @@ void ServeEngine::autoscale_observe(std::vector<VnfObservation>& out) const {
 
 void ServeEngine::autoscale_decide(EventOutcome& outcome) {
   autoscale_observe(as_obs_scratch_);
-  work_ += instances_.size() + queue_.size() + retry_queue_.size();
+  // next_seq_ counts every instance ever opened — the slot count this
+  // charge was defined on before retired slots were compacted away.
+  work_ += next_seq_ + queue_.size() + retry_queue_.size();
   const std::vector<std::int32_t>& deltas =
       scaler_->on_window(as_window_, as_obs_scratch_);
   bool opened = false;
@@ -1107,10 +1133,7 @@ bool ServeEngine::drain_member(std::uint32_t id, std::size_t hop,
   return true;
 }
 
-void ServeEngine::finish_outcome(EventOutcome& outcome) {
-  predicted_latencies(latency_scratch_, hop_nodes_scratch_);
-  latency_stats(latency_scratch_, outcome.mean_predicted_latency,
-                outcome.p99_predicted_latency);
+void ServeEngine::finish_outcome(const EventOutcome& outcome) {
   ++totals_.events;
   obs::count("serve.events");
   switch (outcome.decision) {
@@ -1161,15 +1184,18 @@ void ServeEngine::finish_outcome(EventOutcome& outcome) {
     fe.degraded = outcome.degraded;
     obs::flight_record(fe);
   }
-  log_.push_back(outcome);
+  if (config_.events_log) {
+    // The only per-event Eq. 16 rescan: summary() and
+    // predicted_latencies() compute it on demand.
+    LoggedOutcome entry{outcome};
+    predicted_latencies(latency_scratch_, hop_nodes_scratch_);
+    latency_stats(latency_scratch_, entry.mean_predicted_latency,
+                  entry.p99_predicted_latency);
+    log_.push_back(entry);
+  }
 }
 
 EventOutcome ServeEngine::on_event(const workload::StreamEvent& event) {
-  process_event(event);
-  return log_.back();
-}
-
-void ServeEngine::process_event(const workload::StreamEvent& event) {
   if (saw_event_ && event.time < last_time_) {
     event_fail(event, "non-monotonic timestamp " + std::to_string(event.time) +
                           " after " + std::to_string(last_time_));
@@ -1179,7 +1205,7 @@ void ServeEngine::process_event(const workload::StreamEvent& event) {
   last_time_ = event.time;
 
   EventOutcome outcome;
-  outcome.index = log_.size();
+  outcome.index = totals_.events;
   outcome.time = event.time;
   outcome.kind = event.kind;
   outcome.request = event.request;
@@ -1365,6 +1391,10 @@ void ServeEngine::process_event(const workload::StreamEvent& event) {
   if (autoscale_on()) run_autoscale(event.time, outcome);
 
   finish_outcome(outcome);
+  if (retired_slots_ > 0 && 2 * retired_slots_ >= instances_.size()) {
+    compact_instances();
+  }
+  return outcome;
 }
 
 std::vector<EventOutcome> ServeEngine::replay(
@@ -1376,12 +1406,6 @@ std::vector<EventOutcome> ServeEngine::replay(
     outcomes.push_back(on_event(event));
   }
   return outcomes;
-}
-
-void ServeEngine::apply_batch(const workload::StreamEvent* events,
-                              std::size_t count) {
-  log_.reserve(log_.size() + count);
-  for (std::size_t i = 0; i < count; ++i) process_event(events[i]);
 }
 
 std::uint64_t ServeEngine::replay_binary(workload::BinaryTraceDecoder& decoder,
@@ -1399,7 +1423,7 @@ std::uint64_t ServeEngine::replay_binary(workload::BinaryTraceDecoder& decoder,
       ++n;
     }
     if (n == 0) break;
-    apply_batch(batch_.data(), n);
+    for (std::size_t i = 0; i < n; ++i) (void)on_event(batch_[i]);
     applied += n;
   }
   return applied;
@@ -1587,8 +1611,9 @@ obs::ServeSection make_serve_section(const ServeEngine& engine,
     out.timeline = obs::aggregate_timeline(engine.timeline_doc().records);
   }
   if (include_events) {
+    NFV_REQUIRE(engine.config().events_log);
     out.events_log.reserve(engine.log().size());
-    for (const EventOutcome& e : engine.log()) {
+    for (const LoggedOutcome& e : engine.log()) {
       obs::ServeEventEntry entry;
       entry.index = e.index;
       entry.time = e.time;

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "nfv/common/rng.h"
 #include "nfv/topology/topology.h"
@@ -39,6 +40,11 @@ struct LinkSpec {
                                        std::size_t hosts_per_leaf,
                                        const CapacitySpec& cap,
                                        const LinkSpec& link, Rng& rng);
+/// Same, with leaf l serving `hosts_per_leaf[l]` (>= 1) compute nodes; a
+/// uniform vector builds exactly the topology of the overload above.
+[[nodiscard]] Topology make_leaf_spine(
+    std::size_t spines, const std::vector<std::size_t>& hosts_per_leaf,
+    const CapacitySpec& cap, const LinkSpec& link, Rng& rng);
 
 /// k-ary fat-tree (k even): (k/2)^2 core switches, k pods of k switches,
 /// k^3/4 compute nodes.

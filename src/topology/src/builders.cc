@@ -47,19 +47,30 @@ Topology make_linear(std::size_t nodes, const CapacitySpec& cap,
 Topology make_leaf_spine(std::size_t spines, std::size_t leaves,
                          std::size_t hosts_per_leaf, const CapacitySpec& cap,
                          const LinkSpec& link, Rng& rng) {
-  NFV_REQUIRE(spines >= 1 && leaves >= 1 && hosts_per_leaf >= 1);
+  NFV_REQUIRE(leaves >= 1);
+  return make_leaf_spine(
+      spines, std::vector<std::size_t>(leaves, hosts_per_leaf), cap, link,
+      rng);
+}
+
+Topology make_leaf_spine(std::size_t spines,
+                         const std::vector<std::size_t>& hosts_per_leaf,
+                         const CapacitySpec& cap, const LinkSpec& link,
+                         Rng& rng) {
+  NFV_REQUIRE(spines >= 1 && !hosts_per_leaf.empty());
+  for (const std::size_t hosts : hosts_per_leaf) NFV_REQUIRE(hosts >= 1);
   Topology t;
   std::vector<std::uint32_t> spine_idx;
   spine_idx.reserve(spines);
   for (std::size_t s = 0; s < spines; ++s) {
     spine_idx.push_back(t.add_switch("spine" + std::to_string(s)));
   }
-  for (std::size_t l = 0; l < leaves; ++l) {
+  for (std::size_t l = 0; l < hosts_per_leaf.size(); ++l) {
     const std::uint32_t leaf = t.add_switch("leaf" + std::to_string(l));
     for (const std::uint32_t spine : spine_idx) {
       t.connect(leaf, spine, link.latency);
     }
-    for (std::size_t h = 0; h < hosts_per_leaf; ++h) {
+    for (std::size_t h = 0; h < hosts_per_leaf[l]; ++h) {
       const NodeId v = t.add_compute(
           cap.sample(rng),
           "host" + std::to_string(l) + "." + std::to_string(h));

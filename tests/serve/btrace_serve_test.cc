@@ -64,6 +64,7 @@ ServeEngine fresh_engine(const Fixture& fx, double snapshot_every = 0.0) {
   cfg.rebalance_threshold = 0.15;
   cfg.overload_window = 16;
   cfg.snapshot_every = snapshot_every;
+  cfg.events_log = true;  // checkpoints then cover the log as well
   return ServeEngine(make_topo(), fx.base.vnfs, cfg);
 }
 

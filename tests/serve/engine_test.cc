@@ -224,7 +224,10 @@ TEST(ServeEngine, BoundedMigrationNeverExceedsBudget) {
 }
 
 TEST(ServeEngine, SummaryCountersAreConsistent) {
-  ServeEngine engine(make_topo({400.0, 400.0}), make_vnfs(2, 100.0, 100.0));
+  ServeConfig cfg;
+  cfg.events_log = true;
+  ServeEngine engine(make_topo({400.0, 400.0}), make_vnfs(2, 100.0, 100.0),
+                     cfg);
   engine.on_event(arrive(0.0, 0, 50.0, {0, 1}));
   engine.on_event(arrive(1.0, 1, 20.0, {0}));
   engine.on_event(rate_change(2.0, 1, 30.0));

@@ -55,6 +55,7 @@ ServeConfig telemetry_config() {
   ServeConfig cfg;
   cfg.snapshot_every = 0.5;
   cfg.lifecycle = true;
+  cfg.events_log = true;  // render() takes the trace end from log()
   return cfg;
 }
 

@@ -53,6 +53,28 @@ TEST(MakeLeafSpine, ShapeAndConnectivity) {
   EXPECT_EQ(t.hop_distance(NodeId{0}, NodeId{3}), 4u);
 }
 
+TEST(MakeLeafSpine, UnevenLeavesHostExactlyTheirCounts) {
+  Rng rng(5);
+  const Topology t = make_leaf_spine(2, {2, 1, 1}, kFixedCap, kLink, rng);
+  EXPECT_EQ(t.compute_count(), 4u);
+  EXPECT_EQ(t.switch_count(), 5u);  // 2 spines + 3 leaves
+  EXPECT_EQ(t.hop_distance(NodeId{0}, NodeId{1}), 2u);  // both on leaf 0
+  EXPECT_EQ(t.hop_distance(NodeId{1}, NodeId{2}), 4u);  // leaf 0 -> leaf 1
+  EXPECT_THROW((void)make_leaf_spine(2, {2, 0}, kFixedCap, kLink, rng),
+               std::invalid_argument);
+
+  // A uniform vector is the scalar overload, sample for sample.
+  const CapacitySpec drawn{1000.0, 5000.0};
+  Rng a(9);
+  Rng b(9);
+  const Topology scalar = make_leaf_spine(2, 4, 3, drawn, kLink, a);
+  const Topology vec = make_leaf_spine(2, {3, 3, 3, 3}, drawn, kLink, b);
+  ASSERT_EQ(scalar.compute_count(), vec.compute_count());
+  for (std::uint32_t v = 0; v < scalar.compute_count(); ++v) {
+    EXPECT_EQ(scalar.capacity(NodeId(v)), vec.capacity(NodeId(v)));
+  }
+}
+
 TEST(MakeFatTree, K4HasSixteenHosts) {
   Rng rng(6);
   const Topology t = make_fat_tree(4, kFixedCap, kLink, rng);

@@ -78,6 +78,35 @@ expect_exit 2 "generate-topology --fat-k -2 exits 2" \
   timeout 20 "$NFVPR" generate-topology --kind fattree --fat-k -2
 expect_exit 2 "generate-topology --kind bogus exits 2" \
   timeout 20 "$NFVPR" generate-topology --kind bogus
+# leafspine spreads exactly --nodes hosts over its 4 leaves (the first
+# nodes % 4 leaves take one extra), so it needs at least 4.
+expect_exit 2 "generate-topology --kind leafspine --nodes 2 exits 2" \
+  timeout 20 "$NFVPR" generate-topology --kind leafspine --nodes 2
+expect_contains "$WORK/err.txt" 'flag value out of range' \
+  "leafspine --nodes 2 names the out-of-range flag value"
+for n in 4 13; do
+  expect_exit 0 "generate-topology --kind leafspine --nodes $n" \
+    sh -c "'$NFVPR' generate-topology --kind leafspine --nodes $n \
+           > '$WORK/ls$n.topo'"
+  hosts=$(grep -c ' compute ' "$WORK/ls$n.topo")
+  if [ "$hosts" -eq "$n" ]; then
+    echo "ok: leafspine --nodes $n builds $n hosts"
+  else
+    echo "FAIL: leafspine --nodes $n built $hosts hosts" >&2
+    failures=$((failures + 1))
+  fi
+done
+for leaf in 0 1 2 3; do
+  want=3
+  [ "$leaf" -eq 0 ] && want=4
+  got=$(grep -c "^node host$leaf\\." "$WORK/ls13.topo")
+  if [ "$got" -eq "$want" ]; then
+    echo "ok: leafspine --nodes 13 puts $want hosts on leaf $leaf"
+  else
+    echo "FAIL: leafspine --nodes 13 puts $got hosts on leaf $leaf" >&2
+    failures=$((failures + 1))
+  fi
+done
 expect_exit 2 "generate-workload --vnfs -1 exits 2" \
   timeout 20 "$NFVPR" generate-workload --vnfs -1
 expect_exit 2 "generate-workload --requests -5 exits 2" \
@@ -261,7 +290,8 @@ expect_contains "$WORK/out.txt" 'node churn' \
 
 # Kill mid-trace (simulated by a truncated trace), then resume over the
 # full trace: stdout and the report must be byte-identical to the
-# uninterrupted run.
+# uninterrupted run.  The events log is recorded from the first event on,
+# so the prefix run asks for it too.
 python3 - "$WORK" <<'EOF'
 import json, sys
 work = sys.argv[1]
@@ -271,7 +301,8 @@ json.dump(trace, open(work + '/churn.part.json', 'w'))
 EOF
 expect_exit 0 "serve prefix writes a checkpoint" \
   "$NFVPR" serve -t "$WORK/dc.topo" -w "$WORK/peak.wl" \
-  -T "$WORK/churn.part.json" --checkpoint-out "$WORK/mid.ckpt.json"
+  -T "$WORK/churn.part.json" --checkpoint-out "$WORK/mid.ckpt.json" \
+  --events-log
 expect_exit 0 "serve --resume finishes the trace" \
   "$NFVPR" serve -t "$WORK/dc.topo" -w "$WORK/peak.wl" \
   -T "$WORK/churn.trace.json" --resume "$WORK/mid.ckpt.json" \
@@ -290,6 +321,33 @@ else
   diff "$WORK/churn_resumed.json" "$WORK/churn_full.json" | sed 's/^/  /' >&2
   failures=$((failures + 1))
 fi
+
+# The same split with no events log on either side.
+expect_exit 0 "serve churn replay without the events log" \
+  "$NFVPR" serve -t "$WORK/dc.topo" -w "$WORK/peak.wl" \
+  -T "$WORK/churn.trace.json" --report-out "$WORK/churn_nolog_full.json"
+cp "$WORK/out.txt" "$WORK/churn_nolog_full.txt"
+expect_exit 0 "serve prefix without the events log" \
+  "$NFVPR" serve -t "$WORK/dc.topo" -w "$WORK/peak.wl" \
+  -T "$WORK/churn.part.json" --checkpoint-out "$WORK/mid_nolog.ckpt.json"
+expect_exit 0 "serve --resume without the events log" \
+  "$NFVPR" serve -t "$WORK/dc.topo" -w "$WORK/peak.wl" \
+  -T "$WORK/churn.trace.json" --resume "$WORK/mid_nolog.ckpt.json" \
+  --report-out "$WORK/churn_nolog_resumed.json"
+if cmp -s "$WORK/out.txt" "$WORK/churn_nolog_full.txt" &&
+   cmp -s "$WORK/churn_nolog_resumed.json" "$WORK/churn_nolog_full.json"; then
+  echo "ok: log-free resume is byte-identical (stdout and report)"
+else
+  echo "FAIL: log-free resume differs from the uninterrupted run" >&2
+  failures=$((failures + 1))
+fi
+# A checkpoint recorded without the log cannot produce one on resume.
+expect_exit 2 "--events-log on a log-free checkpoint exits 2" \
+  "$NFVPR" serve -t "$WORK/dc.topo" -w "$WORK/peak.wl" \
+  -T "$WORK/churn.trace.json" --resume "$WORK/mid_nolog.ckpt.json" \
+  --events-log
+expect_contains "$WORK/err.txt" 'without an events log' \
+  "events-log mismatch diagnostic names the missing log"
 
 # Corrupt checkpoints are usage errors with a one-line diagnostic.
 head -c 150 "$WORK/mid.ckpt.json" > "$WORK/trunc.ckpt.json"

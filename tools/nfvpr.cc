@@ -307,14 +307,17 @@ int cmd_generate_topology(int argc, const char* const* argv) {
   nfv::CliParser cli("nfvpr generate-topology", "emit a topology file");
   const auto& kind =
       cli.add_string("kind", 'k', "star|leafspine|fattree|random", "star");
-  const auto& nodes = cli.add_int("nodes", 'n', "compute nodes (star/random)", 10);
+  const auto& nodes = cli.add_int(
+      "nodes", 'n',
+      "compute nodes (star/random; leafspine spreads them over 4 leaves "
+      "and needs >= 4)", 10);
   const auto& cap_min = cli.add_double("cap-min", '\0', "min capacity", 1000.0);
   const auto& cap_max = cli.add_double("cap-max", '\0', "max capacity", 5000.0);
   const auto& latency = cli.add_double("latency", 'l', "per-link latency", 1e-4);
   const auto& seed = cli.add_int("seed", 's', "RNG seed", 1);
   const auto& fat_k = cli.add_int("fat-k", '\0', "fat-tree arity (even)", 4);
   if (!cli.parse(argc, argv)) return parse_exit(cli);
-  if (nodes < 0 || fat_k < 0) {
+  if (nodes < 0 || fat_k < 0 || (kind == "leafspine" && nodes < 4)) {
     std::fputs("nfvpr generate-topology: flag value out of range\n", stderr);
     return 2;
   }
@@ -325,10 +328,12 @@ int cmd_generate_topology(int argc, const char* const* argv) {
   if (kind == "star") {
     t = nfv::topo::make_star(static_cast<std::size_t>(nodes), cap, link, rng);
   } else if (kind == "leafspine") {
-    t = nfv::topo::make_leaf_spine(2, 4,
-                                   std::max<std::size_t>(1,
-                                       static_cast<std::size_t>(nodes) / 4),
-                                   cap, link, rng);
+    // Exactly --nodes hosts over 4 leaves; the first nodes % 4 leaves
+    // take one extra.
+    const auto hosts = static_cast<std::size_t>(nodes);
+    std::vector<std::size_t> per_leaf(4, hosts / 4);
+    for (std::size_t l = 0; l < hosts % 4; ++l) ++per_leaf[l];
+    t = nfv::topo::make_leaf_spine(2, per_leaf, cap, link, rng);
   } else if (kind == "fattree") {
     t = nfv::topo::make_fat_tree(static_cast<std::size_t>(fat_k), cap, link,
                                  rng);
@@ -1031,6 +1036,7 @@ int cmd_serve(int argc, const char* const* argv) {
   cfg.snapshot_every = snapshot_every;
   cfg.timeline_span = static_cast<std::size_t>(timeline_span);
   cfg.lifecycle = !lifecycle_out.empty();
+  cfg.events_log = with_events;
   const auto policy = nfv::serve::parse_scale_policy(autoscale);
   if (!policy) {
     std::fprintf(stderr,
@@ -1131,6 +1137,13 @@ int cmd_serve(int argc, const char* const* argv) {
       std::fputs(
           "nfvpr serve: --lifecycle-out given but the resumed checkpoint "
           "was recorded without a lifecycle log\n",
+          stderr);
+      return 2;
+    }
+    if (with_events && !engine->config().events_log) {
+      std::fputs(
+          "nfvpr serve: --events-log given but the resumed checkpoint was "
+          "recorded without an events log\n",
           stderr);
       return 2;
     }
@@ -1235,9 +1248,8 @@ int cmd_serve(int argc, const char* const* argv) {
     if (!lifecycle_out.empty()) {
       std::ofstream os(lifecycle_out);
       if (!os) throw std::runtime_error("cannot open " + lifecycle_out);
-      const double trace_end =
-          engine->log().empty() ? 0.0 : engine->log().back().time;
-      nfv::obs::write_lifecycle_trace(engine->lifecycle_log(), trace_end, os);
+      nfv::obs::write_lifecycle_trace(engine->lifecycle_log(),
+                                      engine->last_time(), os);
     }
 
     // With the timeline on stdout the stream must stay machine-parseable,
