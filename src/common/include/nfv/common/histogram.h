@@ -27,6 +27,9 @@ class Histogram {
   [[nodiscard]] std::size_t overflow() const { return overflow_; }
   [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
   [[nodiscard]] std::size_t bucket(std::size_t i) const { return counts_[i]; }
+  [[nodiscard]] const std::vector<std::size_t>& counts() const {
+    return counts_;
+  }
   [[nodiscard]] double lo() const { return lo_; }
   [[nodiscard]] double hi() const { return hi_; }
   /// Exact smallest / largest sample seen (require count() > 0).

@@ -25,8 +25,7 @@ struct ReportInputs {
   const SystemModel* model = nullptr;       ///< required with `result`
   const JointResult* result = nullptr;      ///< placement + scheduling
   const sim::SimResult* sim = nullptr;      ///< DES section
-  /// Pre-built serving section (the serve library owns the conversion);
-  /// copied verbatim when non-null and present.
+  /// Serving section (the serve library writes it); copied when non-null.
   const obs::ServeSection* serve = nullptr;
   /// Solver portfolio race (DESIGN.md §17); non-null when --solver was
   /// given, along with the requested solver id for the section header.

@@ -14,6 +14,8 @@
 #include <string_view>
 #include <vector>
 
+#include "nfv/obs/fields.h"
+
 namespace nfv::obs {
 
 inline constexpr std::string_view kFlightSchema = "nfvpr.flight/1";
@@ -38,6 +40,24 @@ struct FlightEntry {
   std::uint32_t shed_overload = 0;
   bool degraded = false;
 };
+
+void fields(auto& v, Of<FlightEntry> auto& e) {
+  v("index", e.index);
+  v("t", e.time);
+  v("kind", e.kind);
+  v("decision", e.decision);
+  v("request", e.request);
+  v("migrations", e.migrations);
+  v("scale_outs", e.scale_outs);
+  v("scale_ins", e.scale_ins);
+  v("admitted_from_queue", e.admitted_from_queue);
+  v("evacuated", e.evacuated);
+  v("parked", e.parked);
+  v("retry_admitted", e.retry_admitted);
+  v("shed_fault", e.shed_fault);
+  v("shed_overload", e.shed_overload);
+  v("degraded", e.degraded);
+}
 
 class FlightRecorder {
  public:

@@ -31,6 +31,7 @@ namespace nfv::obs {
 /// Misuse (e.g. a value where a key is required) throws via NFV_CHECK.
 class JsonWriter {
  public:
+  /// `indent` 0 is the compact one-line form, members separated by ", ".
   explicit JsonWriter(std::ostream& os, int indent = 2);
 
   void begin_object();
@@ -60,6 +61,7 @@ class JsonWriter {
   enum class Frame : std::uint8_t { kObject, kArray };
 
   void before_value();
+  void separate();  ///< comma and line break before a member
   void newline();
 
   std::ostream& os_;

@@ -6,11 +6,14 @@
 // row per request).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <iosfwd>
 #include <stdexcept>
 #include <string_view>
 #include <vector>
+
+#include "nfv/obs/fields.h"
 
 namespace nfv::obs {
 
@@ -56,6 +59,19 @@ struct LifecycleEvent {
   friend bool operator==(const LifecycleEvent&,
                          const LifecycleEvent&) = default;
 };
+
+/// A checkpoint's compact lifecycle tuple: [index, t, request, stage, node,
+/// rung].
+void fields(auto& v, Of<LifecycleEvent> auto& e) {
+  v("event_index", e.event_index);
+  v("t", e.time);
+  v.require(std::isfinite(e.time), "lifecycle tuple time must be finite");
+  v("request", e.request);
+  v("stage", e.stage,
+    Below{static_cast<std::uint64_t>(LifecycleStage::kDepart) + 1});
+  v("node", e.node);
+  v("rung", e.rung);
+}
 
 /// Renders events as a Chrome trace-event JSON array ("ph": "X" complete
 /// spans, tid = request id): each stage spans until the request's next

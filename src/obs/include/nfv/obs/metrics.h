@@ -161,6 +161,12 @@ class MetricsRegistry {
       histograms_;
 };
 
+class JsonWriter;
+
+/// Writes `snap` as one JSON object (the shape write_json() emits); the run
+/// report's `metrics` section is the same object.
+void write_snapshot(JsonWriter& w, const MetricsRegistry::Snapshot& snap);
+
 /// The globally installed registry, or nullptr when telemetry is disabled.
 [[nodiscard]] MetricsRegistry* registry() noexcept;
 

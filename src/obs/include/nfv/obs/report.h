@@ -1,45 +1,26 @@
-// Machine-readable run reports: a stable JSON schema describing one whole
-// pipeline run (placement summary, per-instance loads and response times,
-// DES counters, serve counters, metrics-registry snapshot).
+// Machine-readable run reports ("nfvpr.run_report/1"): one JSON object per
+// run with the schema, command and seed, then one section per stage the
+// command ran — placement, scheduling, requests, des, serve, solver and
+// metrics, in that order.  Absent sections are omitted, never emitted
+// empty, so diffs across commands stay meaningful.
 //
-// The obs library owns the schema, serialization, loading, pretty-printing
-// and diffing; it knows nothing about the solver types.  The core library
-// provides the builder that converts a JointResult / SimResult into a
-// RunReport (nfv/core/report_builder.h).
-//
-// Schema ("nfvpr.run_report/1"):
-//
-//   {
-//     "schema": "nfvpr.run_report/1",
-//     "command": "pipeline", "seed": 1,
-//     "placement":  {feasible, algorithm, iterations, nodes_in_service,
-//                    node_count, avg_utilization, occupation},
-//     "scheduling": {algorithm, vnfs: [{vnf, instances, service_rate,
-//                    delivery_prob, admitted, rejected, work,
-//                    instance_load: [Λ_k...], instance_response: [W_k...]}]},
-//     "requests":   {total, admitted, rejection_rate, avg_total_latency,
-//                    avg_response},
-//     "des":        {events, measured_window, truncated, generated,
-//                    delivered, retransmissions, buffer_drops,
-//                    fault_retransmissions, station_drops,
-//                    station_fault_drops, station_failures,
-//                    avg_utilization, mean_latency, total_downtime},
-//     "metrics":    {counters: {...}, gauges: {...}, histograms: {...}}
-//   }
-//
-// Absent sections are omitted, never emitted empty, so diffs across
-// commands stay meaningful.
+// The keys of each section are the field lists below (the serve section's
+// are ServeSummary's and LoggedOutcome's, nfv/serve/engine.h).  The obs
+// library owns serialization, loading, pretty-printing and diffing; the
+// core library converts solver results into a RunReport
+// (nfv/core/report_builder.h).
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "nfv/obs/fields.h"
 #include "nfv/obs/json.h"
 #include "nfv/obs/metrics.h"
-#include "nfv/obs/timeline.h"
 
 namespace nfv::obs {
 
@@ -56,6 +37,16 @@ struct PlacementSection {
   double occupation = 0.0;
 };
 
+void fields(auto& v, Of<PlacementSection> auto& p) {
+  v("feasible", p.feasible);
+  v("algorithm", p.algorithm);
+  v("iterations", p.iterations);
+  v("nodes_in_service", p.nodes_in_service);
+  v("node_count", p.node_count);
+  v("avg_utilization", p.avg_utilization);
+  v("occupation", p.occupation);
+}
+
 struct VnfScheduleEntry {
   std::string vnf;                       ///< catalog name, e.g. "FW-3"
   std::uint32_t instances = 0;           ///< M_f
@@ -68,11 +59,28 @@ struct VnfScheduleEntry {
   std::vector<double> instance_response; ///< W(f,k) per instance (Eq. 12)
 };
 
+void fields(auto& v, Of<VnfScheduleEntry> auto& e) {
+  v("vnf", e.vnf);
+  v("instances", e.instances);
+  v("service_rate", e.service_rate);
+  v("delivery_prob", e.delivery_prob);
+  v("admitted", e.admitted);
+  v("rejected", e.rejected);
+  v("work", e.work);
+  v("instance_load", e.instance_load);
+  v("instance_response", e.instance_response);
+}
+
 struct SchedulingSection {
   bool present = false;
   std::string algorithm;
   std::vector<VnfScheduleEntry> vnfs;
 };
+
+void fields(auto& v, Of<SchedulingSection> auto& s) {
+  v("algorithm", s.algorithm);
+  v.array("vnfs", s.vnfs, [&](auto& e) { fields(v, e); });
+}
 
 struct RequestSection {
   bool present = false;
@@ -82,6 +90,14 @@ struct RequestSection {
   double avg_total_latency = 0.0;  ///< Eq. 16 per admitted request
   double avg_response = 0.0;       ///< mean instance W (Eq. 15)
 };
+
+void fields(auto& v, Of<RequestSection> auto& r) {
+  v("total", r.total);
+  v("admitted", r.admitted);
+  v("rejection_rate", r.rejection_rate);
+  v("avg_total_latency", r.avg_total_latency);
+  v("avg_response", r.avg_response);
+}
 
 struct DesSection {
   bool present = false;
@@ -101,87 +117,32 @@ struct DesSection {
   double total_downtime = 0.0;   ///< summed station down-seconds
 };
 
+void fields(auto& v, Of<DesSection> auto& d) {
+  v("events", d.events);
+  v("measured_window", d.measured_window);
+  v("truncated", d.truncated);
+  v("generated", d.generated);
+  v("delivered", d.delivered);
+  v("retransmissions", d.retransmissions);
+  v("buffer_drops", d.buffer_drops);
+  v("fault_retransmissions", d.fault_retransmissions);
+  v("station_drops", d.station_drops);
+  v("station_fault_drops", d.station_fault_drops);
+  v("station_failures", d.station_failures);
+  v("avg_utilization", d.avg_utilization);
+  v("mean_latency", d.mean_latency);
+  v("total_downtime", d.total_downtime);
+}
+
 struct MetricsSection {
   bool present = false;
   MetricsRegistry::Snapshot snapshot;
 };
 
-/// One event decision of the online serving engine (nfv/serve).
-struct ServeEventEntry {
-  std::uint64_t index = 0;
-  double time = 0.0;
-  std::string kind;      ///< "arrive" / "depart" / "rate_change"
-  std::uint64_t request = 0;
-  std::string decision;  ///< "admitted" / "queued" / "rejected" / ...
-  std::uint64_t migrations = 0;
-  std::uint64_t scale_outs = 0;
-  std::uint64_t scale_ins = 0;
-  std::uint64_t admitted_from_queue = 0;
-  std::uint64_t evacuated = 0;
-  std::uint64_t evacuation_migrations = 0;
-  std::uint64_t parked = 0;
-  std::uint64_t retry_admitted = 0;
-  std::uint64_t shed_fault = 0;
-  std::uint64_t shed_overload = 0;
-  bool degraded = false;
-  double mean_predicted_latency = 0.0;
-  double p99_predicted_latency = 0.0;
-};
-
-/// Summary + optional per-event log of one `nfvpr serve` replay.
+/// The `serve` section, written by the serve library from the field lists
+/// its checkpoints share (serve::make_serve_section); absent when empty.
 struct ServeSection {
-  bool present = false;
-  std::uint64_t events = 0;
-  std::uint64_t arrivals = 0;
-  std::uint64_t admitted = 0;
-  std::uint64_t admitted_from_queue = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t departures = 0;
-  std::uint64_t rate_changes = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t migrations = 0;
-  std::uint64_t rebalances = 0;
-  std::uint64_t max_migrations_per_rebalance = 0;
-  std::uint64_t scale_outs = 0;
-  std::uint64_t scale_ins = 0;
-  std::uint64_t live_requests = 0;
-  std::uint64_t queued_requests = 0;
-  std::uint64_t retry_queued = 0;
-  std::uint64_t active_instances = 0;
-  std::uint64_t nodes_in_service = 0;
-  // Fault tolerance and degradation (DESIGN.md §13).
-  std::uint64_t node_downs = 0;
-  std::uint64_t node_ups = 0;
-  std::uint64_t instances_closed = 0;
-  std::uint64_t evacuated_requests = 0;
-  std::uint64_t evacuation_migrations = 0;
-  std::uint64_t parked = 0;
-  std::uint64_t retry_admitted = 0;
-  std::uint64_t shed_fault = 0;
-  std::uint64_t shed_overload = 0;
-  std::uint64_t degradations = 0;
-  std::uint64_t degraded_events = 0;
-  double availability = 1.0;
-  double admission_rate = 0.0;
-  double mean_predicted_latency = 0.0;
-  double p99_predicted_latency = 0.0;
-  std::uint64_t work = 0;
-  /// Elastic autoscaling (DESIGN.md §16); serialized under
-  /// "serve.autoscale" only when the run scaled.
-  bool autoscale_present = false;
-  std::string autoscale_policy;  ///< "reactive" / "predictive"
-  std::uint64_t autoscale_decisions = 0;
-  std::uint64_t autoscale_scale_outs = 0;  ///< controller-opened instances
-  std::uint64_t autoscale_scale_ins = 0;   ///< controller-started drains
-  std::uint64_t autoscale_flaps = 0;
-  std::uint64_t autoscale_blocked_cooldown = 0;
-  std::uint64_t autoscale_draining = 0;  ///< drains still in flight at end
-  double instance_seconds = 0.0;         ///< ∫ active instances dt
-  /// Whole-stream timeline aggregates (serve --snapshot-every); serialized
-  /// under "serve.timeline" so the regression differ gates them too.
-  bool timeline_present = false;
-  TimelineAggregates timeline;
-  std::vector<ServeEventEntry> events_log;
+  std::function<void(FieldWriter&)> write;
 };
 
 /// One backend's line in a solver portfolio race (DESIGN.md §17).
@@ -193,6 +154,14 @@ struct SolverBackendEntry {
   std::uint64_t work = 0;  ///< placement iterations consumed
 };
 
+void fields(auto& v, Of<SolverBackendEntry> auto& b) {
+  v("id", b.id);
+  v("feasible", b.feasible);
+  v("rejected", b.rejected);
+  v("objective", b.objective);
+  v("work", b.work);
+}
+
 /// Outcome of a --solver portfolio race (DESIGN.md §17).
 struct SolverSection {
   bool present = false;
@@ -203,6 +172,15 @@ struct SolverSection {
   double budget_ms = 0.0;
   std::vector<SolverBackendEntry> backends;  ///< in backend-id order
 };
+
+void fields(auto& v, Of<SolverSection> auto& s) {
+  v("solver", s.solver);
+  v("winner", s.winner);
+  v("deterministic", s.deterministic);
+  v("budget", s.budget_work);
+  v("budget_ms", s.budget_ms);
+  v.array("backends", s.backends, [&](auto& b) { fields(v, b); });
+}
 
 struct RunReport {
   std::string command;

@@ -14,6 +14,8 @@
 #include <utility>
 #include <vector>
 
+#include "nfv/obs/fields.h"
+
 namespace nfv::obs {
 
 inline constexpr std::string_view kTimelineSchema = "nfvpr.timeline/1";
@@ -67,6 +69,41 @@ struct TimelineRecord {
   friend bool operator==(const TimelineRecord&,
                          const TimelineRecord&) = default;
 };
+
+/// One timeline line, also a row of a checkpoint's timeline state.
+void fields(auto& v, Of<TimelineRecord> auto& r) {
+  v("window", r.window);
+  v("t_start", r.t_start);
+  v("t_end", r.t_end);
+  v("events", r.events);
+  v("offered_rate", r.offered_rate);
+  v("carried_rate", r.carried_rate);
+  v("availability", r.availability);
+  v("live", r.live);
+  v("queued", r.queued);
+  v("retrying", r.retrying);
+  v("admitted", r.admitted);
+  v("admitted_from_queue", r.admitted_from_queue);
+  v("retry_admitted", r.retry_admitted);
+  v("rejected", r.rejected);
+  v("shed", r.shed);
+  v("evacuated", r.evacuated);
+  v("parked", r.parked);
+  v("migrations", r.migrations);
+  v("degraded", r.degraded);
+  v("nodes_down", r.nodes_down);
+  v("node_util", r.node_util);
+  v("wait_count", r.wait_count);
+  v("wait_p50", r.wait_p50);
+  v("wait_p90", r.wait_p90);
+  v("wait_p99", r.wait_p99);
+  if (v.flag(r.has_autoscale, "instances")) {
+    v("instances", r.instances);
+    v("draining", r.draining);
+    v("scale_outs", r.scale_outs);
+    v("scale_ins", r.scale_ins);
+  }
+}
 
 /// A whole stream: the header metadata plus the records in window order.
 struct TimelineDoc {

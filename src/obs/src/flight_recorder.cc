@@ -55,32 +55,12 @@ std::vector<FlightEntry> FlightRecorder::entries() const {
 void FlightRecorder::dump_json(std::ostream& os) const {
   const std::vector<FlightEntry> snapshot = entries();
   JsonWriter w(os);
+  FieldWriter v(w);
   w.begin_object();
-  w.kv("schema", kFlightSchema);
-  w.kv("capacity", std::uint64_t{ring_.size()});
-  w.kv("recorded", recorded());
-  w.key("entries");
-  w.begin_array();
-  for (const FlightEntry& e : snapshot) {
-    w.begin_object();
-    w.kv("index", e.index);
-    w.kv("t", e.time);
-    w.kv("kind", e.kind);
-    w.kv("decision", e.decision);
-    w.kv("request", std::uint64_t{e.request});
-    w.kv("migrations", std::uint64_t{e.migrations});
-    w.kv("scale_outs", std::uint64_t{e.scale_outs});
-    w.kv("scale_ins", std::uint64_t{e.scale_ins});
-    w.kv("admitted_from_queue", std::uint64_t{e.admitted_from_queue});
-    w.kv("evacuated", std::uint64_t{e.evacuated});
-    w.kv("parked", std::uint64_t{e.parked});
-    w.kv("retry_admitted", std::uint64_t{e.retry_admitted});
-    w.kv("shed_fault", std::uint64_t{e.shed_fault});
-    w.kv("shed_overload", std::uint64_t{e.shed_overload});
-    w.kv("degraded", e.degraded);
-    w.end_object();
-  }
-  w.end_array();
+  v("schema", kFlightSchema);
+  v("capacity", ring_.size());
+  v("recorded", recorded());
+  v.array("entries", snapshot, [&](const FlightEntry& e) { fields(v, e); });
   w.end_object();
 }
 

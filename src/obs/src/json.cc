@@ -47,6 +47,12 @@ void JsonWriter::newline() {
   }
 }
 
+void JsonWriter::separate() {
+  if (has_members_.back()) os_ << (indent_width_ > 0 ? "," : ", ");
+  has_members_.back() = true;
+  newline();
+}
+
 void JsonWriter::before_value() {
   if (stack_.empty()) return;  // top-level value
   if (stack_.back() == Frame::kObject) {
@@ -54,9 +60,7 @@ void JsonWriter::before_value() {
     pending_key_ = false;
     return;
   }
-  if (has_members_.back()) os_ << ',';
-  has_members_.back() = true;
-  newline();
+  separate();
 }
 
 void JsonWriter::begin_object() {
@@ -95,9 +99,7 @@ void JsonWriter::end_array() {
 void JsonWriter::key(std::string_view k) {
   NFV_CHECK(!stack_.empty() && stack_.back() == Frame::kObject);
   NFV_CHECK(!pending_key_);
-  if (has_members_.back()) os_ << ',';
-  has_members_.back() = true;
-  newline();
+  separate();
   os_ << '"' << json_escape(k) << "\": ";
   pending_key_ = true;
 }

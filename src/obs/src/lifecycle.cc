@@ -119,32 +119,32 @@ std::vector<LifecycleEvent> load_lifecycle(std::string_view text) {
     if (args == nullptr || !args->is_object()) {
       lifecycle_fail("trace event has no args object");
     }
-    const auto count = [&](std::string_view key,
-                           bool required) -> std::uint64_t {
+    // Integers up to `max`: ids and rungs are 32-bit.
+    const auto count = [&](std::string_view key, double max) {
       const JsonValue* v = args->find(key);
       if (v == nullptr || !v->is_number()) {
-        if (!required) return 0;
         lifecycle_fail("args missing numeric \"" + std::string(key) + "\"");
       }
       const double x = v->as_number();
-      if (!std::isfinite(x) || x < 0.0 || x != std::floor(x)) {
+      if (!(x >= 0.0 && x <= max) || x != std::floor(x)) {
         lifecycle_fail("args field \"" + std::string(key) +
-                       "\" is not a non-negative integer");
+                       "\" is not an integer in range");
       }
       return static_cast<std::uint64_t>(x);
     };
-    e.event_index = count("event_index", true);
+    constexpr double kU32 = 4294967295.0;
+    e.event_index = count("event_index", 1.8e19);
     const JsonValue* t = args->find("t");
     if (t == nullptr || !t->is_number() || !std::isfinite(t->as_number())) {
       lifecycle_fail("args missing finite \"t\"");
     }
     e.time = t->as_number();
-    e.request = static_cast<std::uint32_t>(count("request", true));
+    e.request = static_cast<std::uint32_t>(count("request", kU32));
     const JsonValue* node = args->find("node");
     if (node == nullptr) lifecycle_fail("args missing \"node\"");
     e.node = node->is_null() ? kLifecycleNoNode
-                             : static_cast<std::uint32_t>(count("node", true));
-    e.rung = static_cast<std::uint32_t>(count("rung", true));
+                             : static_cast<std::uint32_t>(count("node", kU32));
+    e.rung = static_cast<std::uint32_t>(count("rung", kU32));
     out.push_back(e);
   }
   return out;

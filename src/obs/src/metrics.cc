@@ -3,6 +3,7 @@
 #include <ostream>
 
 #include "nfv/common/error.h"
+#include "nfv/obs/fields.h"
 #include "nfv/obs/json.h"
 
 namespace nfv::obs {
@@ -106,32 +107,32 @@ MetricsRegistry::Snapshot MetricsRegistry::snapshot() const {
 }
 
 void MetricsRegistry::write_json(std::ostream& os) const {
-  const Snapshot snap = snapshot();
   JsonWriter w(os);
+  write_snapshot(w, snapshot());
+}
+
+void write_snapshot(JsonWriter& w, const MetricsRegistry::Snapshot& snap) {
+  FieldWriter v(w);
   w.begin_object();
-  w.key("counters");
-  w.begin_object();
-  for (const auto& c : snap.counters) w.kv(c.name, c.value);
-  w.end_object();
-  w.key("gauges");
-  w.begin_object();
-  for (const auto& g : snap.gauges) w.kv(g.name, g.value);
-  w.end_object();
-  w.key("histograms");
-  w.begin_object();
-  for (const auto& h : snap.histograms) {
-    w.key(h.name);
-    w.begin_object();
-    w.kv("count", h.count);
-    w.kv("mean", h.mean);
-    w.kv("min", h.min);
-    w.kv("max", h.max);
-    w.kv("p50", h.p50);
-    w.kv("p90", h.p90);
-    w.kv("p99", h.p99);
-    w.end_object();
-  }
-  w.end_object();
+  v.object("counters", [&] {
+    for (const auto& c : snap.counters) v(c.name, c.value);
+  });
+  v.object("gauges", [&] {
+    for (const auto& g : snap.gauges) v(g.name, g.value);
+  });
+  v.object("histograms", [&] {
+    for (const auto& h : snap.histograms) {
+      v.object(h.name, [&] {
+        v("count", h.count);
+        v("mean", h.mean);
+        v("min", h.min);
+        v("max", h.max);
+        v("p50", h.p50);
+        v("p90", h.p90);
+        v("p99", h.p99);
+      });
+    }
+  });
   w.end_object();
 }
 

@@ -15,35 +15,6 @@ namespace nfv::obs {
 
 namespace {
 
-void write_metrics_snapshot(JsonWriter& w,
-                            const MetricsRegistry::Snapshot& snap) {
-  w.begin_object();
-  w.key("counters");
-  w.begin_object();
-  for (const auto& c : snap.counters) w.kv(c.name, c.value);
-  w.end_object();
-  w.key("gauges");
-  w.begin_object();
-  for (const auto& g : snap.gauges) w.kv(g.name, g.value);
-  w.end_object();
-  w.key("histograms");
-  w.begin_object();
-  for (const auto& h : snap.histograms) {
-    w.key(h.name);
-    w.begin_object();
-    w.kv("count", h.count);
-    w.kv("mean", h.mean);
-    w.kv("min", h.min);
-    w.kv("max", h.max);
-    w.kv("p50", h.p50);
-    w.kv("p90", h.p90);
-    w.kv("p99", h.p99);
-    w.end_object();
-  }
-  w.end_object();
-  w.end_object();
-}
-
 std::string format_number(double v) {
   char buf[32];
   if (v == std::floor(v) && std::abs(v) < 1e15) {
@@ -58,215 +29,24 @@ std::string format_number(double v) {
 
 void write_run_report(const RunReport& report, std::ostream& os) {
   JsonWriter w(os);
+  FieldWriter v(w, /*report=*/true);
+  const auto section = [&](std::string_view key, const auto& s) {
+    if (s.present) v.object(key, [&] { fields(v, s); });
+  };
   w.begin_object();
-  w.kv("schema", kRunReportSchema);
-  w.kv("command", report.command);
-  w.kv("seed", report.seed);
-
-  if (report.placement.present) {
-    const PlacementSection& p = report.placement;
-    w.key("placement");
-    w.begin_object();
-    w.kv("feasible", p.feasible);
-    w.kv("algorithm", p.algorithm);
-    w.kv("iterations", p.iterations);
-    w.kv("nodes_in_service", p.nodes_in_service);
-    w.kv("node_count", p.node_count);
-    w.kv("avg_utilization", p.avg_utilization);
-    w.kv("occupation", p.occupation);
-    w.end_object();
-  }
-
-  if (report.scheduling.present) {
-    const SchedulingSection& s = report.scheduling;
-    w.key("scheduling");
-    w.begin_object();
-    w.kv("algorithm", s.algorithm);
-    w.key("vnfs");
-    w.begin_array();
-    for (const VnfScheduleEntry& v : s.vnfs) {
-      w.begin_object();
-      w.kv("vnf", v.vnf);
-      w.kv("instances", std::uint64_t{v.instances});
-      w.kv("service_rate", v.service_rate);
-      w.kv("delivery_prob", v.delivery_prob);
-      w.kv("admitted", v.admitted);
-      w.kv("rejected", v.rejected);
-      w.kv("work", v.work);
-      w.key("instance_load");
-      w.begin_array();
-      for (const double x : v.instance_load) w.value(x);
-      w.end_array();
-      w.key("instance_response");
-      w.begin_array();
-      for (const double x : v.instance_response) w.value(x);
-      w.end_array();
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-  }
-
-  if (report.requests.present) {
-    const RequestSection& r = report.requests;
-    w.key("requests");
-    w.begin_object();
-    w.kv("total", r.total);
-    w.kv("admitted", r.admitted);
-    w.kv("rejection_rate", r.rejection_rate);
-    w.kv("avg_total_latency", r.avg_total_latency);
-    w.kv("avg_response", r.avg_response);
-    w.end_object();
-  }
-
-  if (report.des.present) {
-    const DesSection& d = report.des;
-    w.key("des");
-    w.begin_object();
-    w.kv("events", d.events);
-    w.kv("measured_window", d.measured_window);
-    w.kv("truncated", d.truncated);
-    w.kv("generated", d.generated);
-    w.kv("delivered", d.delivered);
-    w.kv("retransmissions", d.retransmissions);
-    w.kv("buffer_drops", d.buffer_drops);
-    w.kv("fault_retransmissions", d.fault_retransmissions);
-    w.kv("station_drops", d.station_drops);
-    w.kv("station_fault_drops", d.station_fault_drops);
-    w.kv("station_failures", d.station_failures);
-    w.kv("avg_utilization", d.avg_utilization);
-    w.kv("mean_latency", d.mean_latency);
-    w.kv("total_downtime", d.total_downtime);
-    w.end_object();
-  }
-
-  if (report.serve.present) {
-    const ServeSection& s = report.serve;
-    w.key("serve");
-    w.begin_object();
-    w.kv("events", s.events);
-    w.kv("arrivals", s.arrivals);
-    w.kv("admitted", s.admitted);
-    w.kv("admitted_from_queue", s.admitted_from_queue);
-    w.kv("rejected", s.rejected);
-    w.kv("departures", s.departures);
-    w.kv("rate_changes", s.rate_changes);
-    w.kv("shed", s.shed);
-    w.kv("migrations", s.migrations);
-    w.kv("rebalances", s.rebalances);
-    w.kv("max_migrations_per_rebalance", s.max_migrations_per_rebalance);
-    w.kv("scale_outs", s.scale_outs);
-    w.kv("scale_ins", s.scale_ins);
-    w.kv("live_requests", s.live_requests);
-    w.kv("queued_requests", s.queued_requests);
-    w.kv("retry_queued", s.retry_queued);
-    w.kv("active_instances", s.active_instances);
-    w.kv("nodes_in_service", s.nodes_in_service);
-    // Fault-tolerance counters nest under "churn" so they diff and print
-    // as one group rather than a flat sprawl of serve.* paths.
-    w.key("churn");
-    w.begin_object();
-    w.kv("node_downs", s.node_downs);
-    w.kv("node_ups", s.node_ups);
-    w.kv("instances_closed", s.instances_closed);
-    w.kv("evacuated_requests", s.evacuated_requests);
-    w.kv("evacuation_migrations", s.evacuation_migrations);
-    w.kv("parked", s.parked);
-    w.kv("retry_admitted", s.retry_admitted);
-    w.kv("shed_fault", s.shed_fault);
-    w.kv("shed_overload", s.shed_overload);
-    w.kv("degradations", s.degradations);
-    w.kv("degraded_events", s.degraded_events);
-    w.end_object();
-    if (s.autoscale_present) {
-      // Autoscaler counters nest like churn: one diffable group, emitted
-      // only when the run scaled so autoscale-off reports are unchanged.
-      w.key("autoscale");
-      w.begin_object();
-      w.kv("policy", s.autoscale_policy);
-      w.kv("decisions", s.autoscale_decisions);
-      w.kv("scale_outs", s.autoscale_scale_outs);
-      w.kv("scale_ins", s.autoscale_scale_ins);
-      w.kv("flaps", s.autoscale_flaps);
-      w.kv("blocked_cooldown", s.autoscale_blocked_cooldown);
-      w.kv("draining", s.autoscale_draining);
-      w.kv("instance_seconds", s.instance_seconds);
-      w.end_object();
-    }
-    w.kv("availability", s.availability);
-    w.kv("admission_rate", s.admission_rate);
-    w.kv("mean_predicted_latency", s.mean_predicted_latency);
-    w.kv("p99_predicted_latency", s.p99_predicted_latency);
-    w.kv("work", s.work);
-    if (s.timeline_present) {
-      // The aggregate_values vocabulary doubles as the schema here, so the
-      // report keys stay in lock-step with `analyze-timeline --fail-on`.
-      w.key("timeline");
-      w.begin_object();
-      for (const auto& [name, value] : aggregate_values(s.timeline)) {
-        w.kv(name, value);
-      }
-      w.end_object();
-    }
-    if (!s.events_log.empty()) {
-      w.key("events_log");
-      w.begin_array();
-      for (const ServeEventEntry& e : s.events_log) {
-        w.begin_object();
-        w.kv("index", e.index);
-        w.kv("t", e.time);
-        w.kv("kind", e.kind);
-        w.kv("request", e.request);
-        w.kv("decision", e.decision);
-        w.kv("migrations", e.migrations);
-        w.kv("scale_outs", e.scale_outs);
-        w.kv("scale_ins", e.scale_ins);
-        w.kv("admitted_from_queue", e.admitted_from_queue);
-        w.kv("evacuated", e.evacuated);
-        w.kv("evacuation_migrations", e.evacuation_migrations);
-        w.kv("parked", e.parked);
-        w.kv("retry_admitted", e.retry_admitted);
-        w.kv("shed_fault", e.shed_fault);
-        w.kv("shed_overload", e.shed_overload);
-        w.kv("degraded", e.degraded);
-        w.kv("mean_predicted_latency", e.mean_predicted_latency);
-        w.kv("p99_predicted_latency", e.p99_predicted_latency);
-        w.end_object();
-      }
-      w.end_array();
-    }
-    w.end_object();
-  }
-
-  if (report.solver.present) {
-    const SolverSection& s = report.solver;
-    w.key("solver");
-    w.begin_object();
-    w.kv("solver", s.solver);
-    w.kv("winner", s.winner);
-    w.kv("deterministic", s.deterministic);
-    w.kv("budget", s.budget_work);
-    w.kv("budget_ms", s.budget_ms);
-    w.key("backends");
-    w.begin_array();
-    for (const SolverBackendEntry& b : s.backends) {
-      w.begin_object();
-      w.kv("id", b.id);
-      w.kv("feasible", b.feasible);
-      w.kv("rejected", b.rejected);
-      w.kv("objective", b.objective);
-      w.kv("work", b.work);
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-  }
-
+  v("schema", kRunReportSchema);
+  v("command", report.command);
+  v("seed", report.seed);
+  section("placement", report.placement);
+  section("scheduling", report.scheduling);
+  section("requests", report.requests);
+  section("des", report.des);
+  if (report.serve.write) v.object("serve", [&] { report.serve.write(v); });
+  section("solver", report.solver);
   if (report.metrics.present) {
     w.key("metrics");
-    write_metrics_snapshot(w, report.metrics.snapshot);
+    write_snapshot(w, report.metrics.snapshot);
   }
-
   w.end_object();
   os << '\n';
 }

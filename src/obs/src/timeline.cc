@@ -1,7 +1,6 @@
 #include "nfv/obs/timeline.h"
 
-#include <cmath>
-#include <cstdio>
+#include <algorithm>
 #include <ostream>
 #include <string>
 
@@ -11,141 +10,30 @@ namespace nfv::obs {
 
 namespace {
 
-[[noreturn]] void timeline_fail(std::size_t line, const std::string& what) {
-  throw TimelineParseError("timeline line " + std::to_string(line) + ": " +
-                           what);
-}
-
-void append_number(std::string& out, double v) {
-  char buf[32];
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
-  }
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
-
-void append_count(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%llu",
-                static_cast<unsigned long long>(v));
-  out += buf;
-}
-
-double get_number(const JsonValue& o, std::string_view key, std::size_t line) {
-  const JsonValue* v = o.find(key);
-  if (v == nullptr || !v->is_number()) {
-    timeline_fail(line, "missing numeric field \"" + std::string(key) + "\"");
-  }
-  const double x = v->as_number();
-  if (!std::isfinite(x)) {
-    timeline_fail(line, "non-finite field \"" + std::string(key) + "\"");
-  }
-  return x;
-}
-
-std::uint64_t get_count(const JsonValue& o, std::string_view key,
-                        std::size_t line) {
-  const double x = get_number(o, key, line);
-  if (x < 0.0 || x != std::floor(x)) {
-    timeline_fail(line, "field \"" + std::string(key) +
-                            "\" is not a non-negative integer");
-  }
-  return static_cast<std::uint64_t>(x);
-}
-
-bool get_bool(const JsonValue& o, std::string_view key, std::size_t line) {
-  const JsonValue* v = o.find(key);
-  if (v == nullptr || !v->is_bool()) {
-    timeline_fail(line, "missing boolean field \"" + std::string(key) + "\"");
-  }
-  return v->as_bool();
+/// The header line; `windows` is the record count it promises.
+void header_fields(auto& v, Of<TimelineDoc> auto& doc, auto& windows) {
+  v("schema", kTimelineSchema);
+  v("snapshot_every", doc.snapshot_every);
+  v("nodes", doc.nodes);
+  v("windows", windows);
 }
 
 }  // namespace
 
 void write_timeline(const TimelineDoc& doc, std::ostream& os) {
-  // Hand-rolled compact JSON: one record per line is the JSONL contract,
-  // and the pretty-printing JsonWriter would spread records over lines.
-  std::string line;
-  line += "{\"schema\": \"";
-  line += kTimelineSchema;
-  line += "\", \"snapshot_every\": ";
-  append_number(line, doc.snapshot_every);
-  line += ", \"nodes\": ";
-  append_count(line, doc.nodes);
-  line += ", \"windows\": ";
-  append_count(line, doc.records.size());
-  line += "}\n";
-  os << line;
+  // One compact object per line: the JSONL contract.
+  const auto line = [&os](const auto& body) {
+    JsonWriter w(os, 0);
+    FieldWriter v(w);
+    w.begin_object();
+    body(v);
+    w.end_object();
+    os << '\n';
+  };
+  const std::uint64_t windows = doc.records.size();
+  line([&](FieldWriter& v) { header_fields(v, doc, windows); });
   for (const TimelineRecord& r : doc.records) {
-    line.clear();
-    line += "{\"window\": ";
-    append_count(line, r.window);
-    line += ", \"t_start\": ";
-    append_number(line, r.t_start);
-    line += ", \"t_end\": ";
-    append_number(line, r.t_end);
-    line += ", \"events\": ";
-    append_count(line, r.events);
-    line += ", \"offered_rate\": ";
-    append_number(line, r.offered_rate);
-    line += ", \"carried_rate\": ";
-    append_number(line, r.carried_rate);
-    line += ", \"availability\": ";
-    append_number(line, r.availability);
-    line += ", \"live\": ";
-    append_count(line, r.live);
-    line += ", \"queued\": ";
-    append_count(line, r.queued);
-    line += ", \"retrying\": ";
-    append_count(line, r.retrying);
-    line += ", \"admitted\": ";
-    append_count(line, r.admitted);
-    line += ", \"admitted_from_queue\": ";
-    append_count(line, r.admitted_from_queue);
-    line += ", \"retry_admitted\": ";
-    append_count(line, r.retry_admitted);
-    line += ", \"rejected\": ";
-    append_count(line, r.rejected);
-    line += ", \"shed\": ";
-    append_count(line, r.shed);
-    line += ", \"evacuated\": ";
-    append_count(line, r.evacuated);
-    line += ", \"parked\": ";
-    append_count(line, r.parked);
-    line += ", \"migrations\": ";
-    append_count(line, r.migrations);
-    line += ", \"degraded\": ";
-    line += r.degraded ? "true" : "false";
-    line += ", \"nodes_down\": ";
-    append_count(line, r.nodes_down);
-    line += ", \"node_util\": [";
-    for (std::size_t i = 0; i < r.node_util.size(); ++i) {
-      if (i > 0) line += ", ";
-      append_number(line, r.node_util[i]);
-    }
-    line += "], \"wait_count\": ";
-    append_count(line, r.wait_count);
-    line += ", \"wait_p50\": ";
-    append_number(line, r.wait_p50);
-    line += ", \"wait_p90\": ";
-    append_number(line, r.wait_p90);
-    line += ", \"wait_p99\": ";
-    append_number(line, r.wait_p99);
-    if (r.has_autoscale) {
-      line += ", \"instances\": ";
-      append_count(line, r.instances);
-      line += ", \"draining\": ";
-      append_count(line, r.draining);
-      line += ", \"scale_outs\": ";
-      append_count(line, r.scale_outs);
-      line += ", \"scale_ins\": ";
-      append_count(line, r.scale_ins);
-    }
-    line += "}\n";
-    os << line;
+    line([&](FieldWriter& v) { fields(v, r); });
   }
 }
 
@@ -163,87 +51,30 @@ TimelineDoc load_timeline(std::string_view text) {
     pos = nl == std::string_view::npos ? text.size() + 1 : nl + 1;
     ++line_no;
     // Skip blank lines (trailing newline produces one).
-    bool blank = true;
-    for (const char c : line) {
-      if (c != ' ' && c != '\t' && c != '\r') {
-        blank = false;
-        break;
-      }
-    }
-    if (blank) continue;
+    if (line.find_first_not_of(" \t\r") == std::string_view::npos) continue;
 
     std::string err;
     const auto parsed = parse_json(line, &err);
+    const std::string where = "timeline line " + std::to_string(line_no) + ": ";
     if (!parsed || !parsed->is_object()) {
-      timeline_fail(line_no, parsed ? "record is not a JSON object" : err);
+      throw TimelineParseError(where +
+                               (parsed ? "record is not a JSON object" : err));
     }
-    const JsonValue& o = *parsed;
+    FieldReader<TimelineParseError> v(*parsed, where, /*strict=*/true);
     if (!saw_header) {
-      const JsonValue* schema = o.find("schema");
-      if (schema == nullptr || !schema->is_string() ||
-          schema->as_string() != kTimelineSchema) {
-        timeline_fail(line_no, "missing or unsupported schema (want \"" +
-                                   std::string(kTimelineSchema) + "\")");
-      }
-      doc.snapshot_every = get_number(o, "snapshot_every", line_no);
-      if (doc.snapshot_every <= 0.0) {
-        timeline_fail(line_no, "snapshot_every must be > 0");
-      }
-      doc.nodes = get_count(o, "nodes", line_no);
-      promised = get_count(o, "windows", line_no);
+      header_fields(v, doc, promised);
+      if (doc.snapshot_every <= 0.0) v.fail("snapshot_every must be > 0");
       saw_header = true;
       continue;
     }
     TimelineRecord r;
-    r.window = get_count(o, "window", line_no);
-    r.t_start = get_number(o, "t_start", line_no);
-    r.t_end = get_number(o, "t_end", line_no);
-    if (r.t_end < r.t_start) timeline_fail(line_no, "t_end < t_start");
-    r.events = get_count(o, "events", line_no);
-    r.offered_rate = get_number(o, "offered_rate", line_no);
-    r.carried_rate = get_number(o, "carried_rate", line_no);
-    r.availability = get_number(o, "availability", line_no);
-    r.live = get_count(o, "live", line_no);
-    r.queued = get_count(o, "queued", line_no);
-    r.retrying = get_count(o, "retrying", line_no);
-    r.admitted = get_count(o, "admitted", line_no);
-    r.admitted_from_queue = get_count(o, "admitted_from_queue", line_no);
-    r.retry_admitted = get_count(o, "retry_admitted", line_no);
-    r.rejected = get_count(o, "rejected", line_no);
-    r.shed = get_count(o, "shed", line_no);
-    r.evacuated = get_count(o, "evacuated", line_no);
-    r.parked = get_count(o, "parked", line_no);
-    r.migrations = get_count(o, "migrations", line_no);
-    r.degraded = get_bool(o, "degraded", line_no);
-    r.nodes_down = get_count(o, "nodes_down", line_no);
-    const JsonValue* util = o.find("node_util");
-    if (util == nullptr || !util->is_array()) {
-      timeline_fail(line_no, "missing array field \"node_util\"");
-    }
-    r.node_util.reserve(util->as_array().size());
-    for (const JsonValue& u : util->as_array()) {
-      if (!u.is_number() || !std::isfinite(u.as_number())) {
-        timeline_fail(line_no, "node_util entries must be finite numbers");
-      }
-      r.node_util.push_back(u.as_number());
-    }
+    fields(v, r);
+    if (r.t_end < r.t_start) v.fail("t_end < t_start");
     if (doc.nodes != 0 && r.node_util.size() != doc.nodes) {
-      timeline_fail(line_no, "node_util length disagrees with header nodes");
-    }
-    r.wait_count = get_count(o, "wait_count", line_no);
-    r.wait_p50 = get_number(o, "wait_p50", line_no);
-    r.wait_p90 = get_number(o, "wait_p90", line_no);
-    r.wait_p99 = get_number(o, "wait_p99", line_no);
-    // Autoscaler extension: all-or-nothing when present.
-    if (o.find("instances") != nullptr) {
-      r.has_autoscale = true;
-      r.instances = get_count(o, "instances", line_no);
-      r.draining = get_count(o, "draining", line_no);
-      r.scale_outs = get_count(o, "scale_outs", line_no);
-      r.scale_ins = get_count(o, "scale_ins", line_no);
+      v.fail("node_util length disagrees with header nodes");
     }
     if (!doc.records.empty() && r.window <= doc.records.back().window) {
-      timeline_fail(line_no, "window indices must be strictly increasing");
+      v.fail("window indices must be strictly increasing");
     }
     doc.records.push_back(std::move(r));
   }

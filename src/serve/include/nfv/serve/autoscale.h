@@ -30,6 +30,12 @@ struct AutoscaleTotals {
   std::uint64_t blocked_cooldown = 0;  ///< deltas suppressed by cooldown
 };
 
+void fields(auto& v, obs::Of<AutoscaleTotals> auto& t) {
+  v("decisions", t.decisions);
+  v("flaps", t.flaps);
+  v("blocked_cooldown", t.blocked_cooldown);
+}
+
 class ScalingController {
  public:
   ScalingController(AutoscaleConfig config, std::size_t vnf_count);

@@ -49,8 +49,9 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <optional>
+#include <set>
+#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -136,6 +137,51 @@ struct ServeConfig {
   void validate() const;
 };
 
+/// A checkpoint's `config`.  Telemetry, the events log and autoscaling
+/// appear only when on, so files without them keep the layout that
+/// predates them.
+void fields(auto& v, obs::Of<ServeConfig> auto& c) {
+  v("headroom", c.headroom);
+  v("rebalance_threshold", c.rebalance_threshold);
+  v("migration_budget", c.migration_budget);
+  v("queue_capacity", c.queue_capacity);
+  v("link_latency", c.link_latency);
+  v("overload_window", c.overload_window);
+  v("overload_threshold", c.overload_threshold);
+  v("degraded_headroom", c.degraded_headroom);
+  v("retry_backoff_base", c.retry_backoff_base);
+  v("retry_budget", c.retry_budget);
+  if (v.when(c.snapshot_every > 0.0, "snapshot_every")) {
+    v("snapshot_every", c.snapshot_every);
+    v.require(c.snapshot_every > 0.0,
+              "config.snapshot_every must be a positive number");
+    v("timeline_span", c.timeline_span);
+  }
+  if (v.when(c.lifecycle, "lifecycle")) v("lifecycle", c.lifecycle);
+  if (v.when(c.events_log, "events_log")) v("events_log", c.events_log);
+  auto& a = c.autoscale;
+  if (v.when(a.enabled(), "autoscale_policy")) {
+    std::string policy(to_string(a.policy));
+    v("autoscale_policy", policy);
+    if constexpr (obs::kReads<decltype(v)>) {
+      const auto parsed = parse_scale_policy(policy);
+      v.require(parsed.has_value(),
+                "config.autoscale_policy '" + policy + "' is unknown");
+      v.require(*parsed != ScalePolicy::kOff,
+                "config.autoscale_policy \"off\" must be omitted, not stored");
+      a.policy = *parsed;
+    }
+    v("autoscale_interval", a.scale_interval);
+    v("autoscale_high", a.high_watermark);
+    v("autoscale_low", a.low_watermark);
+    v("autoscale_cooldown", a.cooldown_windows);
+    v("autoscale_step", a.max_step);
+    v("autoscale_alpha", a.ewma_alpha);
+    v("autoscale_forecast", a.forecast_windows);
+    v("autoscale_margin", a.safety_margin);
+  }
+}
+
 /// What the engine decided for one event.
 enum class Decision : std::uint8_t {
   kAdmitted,     ///< arrival assigned to instances on every hop
@@ -179,6 +225,32 @@ struct LoggedOutcome : EventOutcome {
   double p99_predicted_latency = 0.0;
 };
 
+/// A checkpoint's `log` entry, and one of the run report's
+/// `serve.events_log` (where kind and decision are written by name).
+void fields(auto& v, obs::Of<LoggedOutcome> auto& o) {
+  using workload::StreamEventKind;
+  v("index", o.index);
+  v("t", o.time);
+  v("kind", o.kind,
+    obs::Below{static_cast<std::uint64_t>(StreamEventKind::kNodeUp) + 1});
+  v("request", o.request);
+  v("decision", o.decision,
+    obs::Below{static_cast<std::uint64_t>(Decision::kNodeUp) + 1});
+  v("migrations", o.migrations);
+  v("scale_outs", o.scale_outs);
+  v("scale_ins", o.scale_ins);
+  v("admitted_from_queue", o.admitted_from_queue);
+  v("evacuated", o.evacuated);
+  v("evacuation_migrations", o.evacuation_migrations);
+  v("parked", o.parked);
+  v("retry_admitted", o.retry_admitted);
+  v("shed_fault", o.shed_fault);
+  v("shed_overload", o.shed_overload);
+  v("degraded", o.degraded);
+  v("mean_predicted_latency", o.mean_predicted_latency);
+  v("p99_predicted_latency", o.p99_predicted_latency);
+}
+
 /// Aggregate counters over the whole replay.
 struct ServeSummary {
   std::uint64_t events = 0;
@@ -212,6 +284,7 @@ struct ServeSummary {
   std::uint64_t degradations = 0;    ///< times degraded mode was entered
   std::uint64_t degraded_events = 0; ///< events spent degraded
   // Elastic autoscaling (DESIGN.md §16); all zero when the policy is off.
+  std::string autoscale_policy;  ///< "reactive" / "predictive"; "" when off
   std::uint64_t autoscale_decisions = 0;   ///< decision windows evaluated
   std::uint64_t autoscale_scale_outs = 0;  ///< instances the controller opened
   std::uint64_t autoscale_scale_ins = 0;   ///< drains the controller started
@@ -229,6 +302,63 @@ struct ServeSummary {
   double p99_predicted_latency = 0.0;
   std::uint64_t work = 0;  ///< deterministic effort counter
 };
+
+/// A checkpoint's `totals` (the running counters).  The run report's
+/// `serve` section adds the end-of-run figures and nests the churn and
+/// autoscale groups.
+void fields(auto& v, obs::Of<ServeSummary> auto& s) {
+  v("events", s.events);
+  v("arrivals", s.arrivals);
+  v("admitted", s.admitted);
+  v("admitted_from_queue", s.admitted_from_queue);
+  v("rejected", s.rejected);
+  v("departures", s.departures);
+  v("rate_changes", s.rate_changes);
+  v("shed", s.shed);
+  v("migrations", s.migrations);
+  v("rebalances", s.rebalances);
+  v("max_migrations_per_rebalance", s.max_migrations_per_rebalance);
+  v("scale_outs", s.scale_outs);
+  v("scale_ins", s.scale_ins);
+  if (v.report) {
+    v("live_requests", s.live_requests);
+    v("queued_requests", s.queued_requests);
+    v("retry_queued", s.retry_queued);
+    v("active_instances", s.active_instances);
+    v("nodes_in_service", s.nodes_in_service);
+  }
+  v.group("churn", [&] {
+    v("node_downs", s.node_downs);
+    v("node_ups", s.node_ups);
+    v("instances_closed", s.instances_closed);
+    v("evacuated_requests", s.evacuated_requests);
+    v("evacuation_migrations", s.evacuation_migrations);
+    v("parked", s.parked);
+    v("retry_admitted", s.retry_admitted);
+    v("shed_fault", s.shed_fault);
+    v("shed_overload", s.shed_overload);
+    v("degradations", s.degradations);
+    v("degraded_events", s.degraded_events);
+  });
+  if (!v.report) return;
+  if (!s.autoscale_policy.empty()) {
+    v.object("autoscale", [&] {
+      v("policy", s.autoscale_policy);
+      v("decisions", s.autoscale_decisions);
+      v("scale_outs", s.autoscale_scale_outs);
+      v("scale_ins", s.autoscale_scale_ins);
+      v("flaps", s.autoscale_flaps);
+      v("blocked_cooldown", s.autoscale_blocked_cooldown);
+      v("draining", s.draining_instances);
+      v("instance_seconds", s.instance_seconds);
+    });
+  }
+  v("availability", s.availability);
+  v("admission_rate", s.admission_rate);
+  v("mean_predicted_latency", s.mean_predicted_latency);
+  v("p99_predicted_latency", s.p99_predicted_latency);
+  v("work", s.work);
+}
 
 class ServeEngine {
  public:
@@ -572,9 +702,10 @@ class ServeEngine {
   friend struct CheckpointIo;
 };
 
-/// Converts the engine's state into the run-report section; per-event
-/// entries are included only when `include_events`, which requires an
-/// engine recording its log (config().events_log).
+/// The run report's `serve` section: the summary, the timeline aggregates
+/// when the timeline is on, and — only when `include_events`, which
+/// requires an engine recording its log (config().events_log) — the
+/// events log, read from `engine` when the section is written.
 [[nodiscard]] obs::ServeSection make_serve_section(const ServeEngine& engine,
                                                    bool include_events);
 

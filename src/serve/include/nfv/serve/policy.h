@@ -22,6 +22,8 @@
 #include <optional>
 #include <string_view>
 
+#include "nfv/obs/fields.h"
+
 namespace nfv::serve {
 
 /// Which sizing policy the controller runs; kOff disables the subsystem
@@ -86,6 +88,15 @@ struct VnfPolicyState {
   std::int8_t last_sign = 0;         ///< direction of the last action
   std::uint64_t last_action_window = 0;
 };
+
+void fields(auto& v, obs::Of<VnfPolicyState> auto& s) {
+  v("ewma", s.ewma);
+  v("prev_ewma", s.prev_ewma);
+  v("seeded", s.seeded);
+  v("cooldown_until", s.cooldown_until);
+  v("last_sign", s.last_sign);
+  v("last_action_window", s.last_action_window);
+}
 
 /// Raw instance-count delta for one VNF (before cooldown gating and the
 /// max_step clamp, which the controller applies).  Positive opens,

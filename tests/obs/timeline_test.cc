@@ -220,6 +220,11 @@ TEST(Lifecycle, LoadRejectsMalformedTraces) {
   std::string bad = os.str();
   bad.replace(bad.find("admit"), 5, "ADMIT");
   EXPECT_THROW(load_lifecycle(bad), LifecycleParseError);
+  // Ids are 32-bit: a request past 2^32 is rejected, not truncated.
+  bad = os.str();
+  const std::size_t request = bad.find("\"request\": ") + 11;
+  bad.replace(request, bad.find(',', request) - request, "4294967296");
+  EXPECT_THROW(load_lifecycle(bad), LifecycleParseError);
 }
 
 TEST(Lifecycle, StageNamesAreStable) {

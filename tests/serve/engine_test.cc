@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "nfv/common/rng.h"
 #include "nfv/workload/generator.h"
 
@@ -241,12 +243,51 @@ TEST(ServeEngine, SummaryCountersAreConsistent) {
   EXPECT_EQ(s.live_requests, 1u);
   EXPECT_DOUBLE_EQ(s.admission_rate, 1.0);
   EXPECT_EQ(engine.log().size(), 4u);
-  const obs::ServeSection section = make_serve_section(engine, true);
-  EXPECT_TRUE(section.present);
-  EXPECT_EQ(section.events, 4u);
-  EXPECT_EQ(section.events_log.size(), 4u);
-  EXPECT_EQ(section.events_log[0].decision, "admitted");
-  EXPECT_EQ(section.events_log[3].decision, "departed");
+}
+
+/// A serve run report written around `engine`, reloaded.
+obs::JsonValue serve_report(const ServeEngine& engine, bool events) {
+  obs::RunReport report;
+  report.command = "serve";
+  report.serve = make_serve_section(engine, events);
+  std::ostringstream os;
+  obs::write_run_report(report, os);
+  return obs::load_run_report(os.str());
+}
+
+TEST(RunReport, ServeSectionRoundTrips) {
+  ServeConfig cfg;
+  cfg.events_log = true;
+  ServeEngine engine(make_topo({400.0, 400.0}), make_vnfs(2, 100.0, 100.0),
+                     cfg);
+  engine.on_event(arrive(0.0, 0, 50.0, {0, 1}));
+  engine.on_event(arrive(1.0, 1, 20.0, {0}));
+  engine.on_event(rate_change(2.0, 1, 30.0));
+  engine.on_event(depart(3.0, 0));
+  const ServeSummary s = engine.summary();
+
+  const obs::JsonValue report = serve_report(engine, true);
+  const obs::JsonValue* serve = report.find("serve");
+  ASSERT_NE(serve, nullptr);
+  EXPECT_DOUBLE_EQ(serve->number_or("events"), 4.0);
+  EXPECT_DOUBLE_EQ(serve->number_or("live_requests"), 1.0);
+  EXPECT_DOUBLE_EQ(serve->number_or("mean_predicted_latency"),
+                   s.mean_predicted_latency);
+  EXPECT_DOUBLE_EQ(serve->number_or("work"), static_cast<double>(s.work));
+  ASSERT_NE(serve->find("churn"), nullptr);
+  EXPECT_DOUBLE_EQ(serve->find("churn")->number_or("node_downs"), 0.0);
+  EXPECT_EQ(serve->find("autoscale"), nullptr);  // policy off
+  const obs::JsonValue* log = serve->find("events_log");
+  ASSERT_NE(log, nullptr);
+  ASSERT_EQ(log->as_array().size(), 4u);
+  EXPECT_EQ(log->as_array()[0].string_or("kind"), "arrive");
+  EXPECT_EQ(log->as_array()[0].string_or("decision"), "admitted");
+  EXPECT_EQ(log->as_array()[3].string_or("decision"), "departed");
+  EXPECT_EQ(serve_report(engine, false).find("serve")->find("events_log"),
+            nullptr);
+
+  const std::string text = obs::pretty_print_report(report);
+  EXPECT_NE(text.find("serving (4 events)"), std::string::npos);
 }
 
 TEST(ServeEngine, LiveWorkloadDensifiesIdsAndInstanceCounts) {

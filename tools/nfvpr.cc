@@ -14,7 +14,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -50,6 +49,16 @@
 #include "nfv/workload/io.h"
 
 namespace {
+
+/// Largest count a generator accepts (VNFs, requests, templates, events,
+/// population, churned nodes).  Each generated item costs on the order of
+/// 100 bytes of memory and output, so the cap keeps any one count near a
+/// gigabyte; larger counts exit 2 before anything is allocated.
+constexpr std::int64_t kMaxGeneratedCount = 10'000'000;
+
+bool generated_count_ok(std::int64_t v) {
+  return v >= 0 && v <= kMaxGeneratedCount;
+}
 
 int usage() {
   std::fputs(
@@ -359,10 +368,8 @@ int cmd_generate_workload(int argc, const char* const* argv) {
       cli.add_double("delivery-prob", 'p', "P per request", 0.98);
   const auto& seed = cli.add_int("seed", 's', "RNG seed", 1);
   if (!cli.parse(argc, argv)) return parse_exit(cli);
-  const auto fits_u32 = [](std::int64_t v) {
-    return v >= 0 && v <= std::numeric_limits<std::uint32_t>::max();
-  };
-  if (!fits_u32(vnfs) || !fits_u32(requests) || !fits_u32(templates)) {
+  if (!generated_count_ok(vnfs) || !generated_count_ok(requests) ||
+      !generated_count_ok(templates)) {
     std::fputs("nfvpr generate-workload: flag value out of range\n", stderr);
     return 2;
   }
@@ -809,7 +816,8 @@ int cmd_generate_trace(int argc, const char* const* argv) {
     std::fputs("nfvpr generate-trace: --churn-nodes must be >= 0\n", stderr);
     return 2;
   }
-  if (events < 0 || population < 0) {
+  if (!generated_count_ok(events) || !generated_count_ok(population) ||
+      !generated_count_ok(churn_nodes)) {
     std::fputs("nfvpr generate-trace: flag value out of range\n", stderr);
     return 2;
   }
